@@ -25,6 +25,7 @@ from .brackets import verification_sweep
 from .diagnostics import (
     Observable,
     clt_sample,
+    cone_seed,
     ensemble_map,
     exp_moment_probe,
     mixing_decay_estimate,
@@ -253,17 +254,17 @@ def cmd_malliavin(args) -> int:
 
     per_path = []
     spectra = []
-    diag = None
+    diag = first = None
     for p in range(n_paths):
         rec = simulate(u0, cfg.equation, cfg.noise, cfg.run.horizon,
                        trajectory_seed(cfg.run.seed, p), snapshot_stride=1)
         path = FrozenPath(rec)
         mat = assemble_malliavin(path, cfg.noise, n_level=level)
-        report = cone_infimum(mat, cone, samples=samples,
-                              seed=trajectory_seed(cfg.run.seed, 10_000 + p))
+        report = cone_infimum(mat, cone, samples=samples, seed=cone_seed(cfg.run.seed, p))
         eigs = mat.eigenvalues()
         spectra.append(eigs.tolist())
-        if diag is None:
+        if p == 0:
+            first = path
             diag = {m.label(): float(v) for m, v in zip(mat.modes, np.diag(mat.gram))}
         per_path.append(report.to_dict())
     out.write_json("malliavin_report.json", {
@@ -275,10 +276,8 @@ def cmd_malliavin(args) -> int:
     })
 
     profile_specs = analysis.get("profile_modes", [])
-    if profile_specs:
-        rec = simulate(u0, cfg.equation, cfg.noise, cfg.run.horizon,
-                       trajectory_seed(cfg.run.seed, 0), snapshot_stride=1)
-        path = FrozenPath(rec)
+    if profile_specs and first is not None:
+        rec = first.record
         idx = cfg.noise.mode_indices(basis)
         header = ["time"]
         cols = []
@@ -287,7 +286,7 @@ def cmd_malliavin(args) -> int:
             mode = make_mode(slot, tuple(spec["k"]), int(spec.get("parity", COS)))
             phi = np.zeros(basis.dim)
             phi[basis.mode_index(mode)] = 1.0
-            levels = adjoint_profile(path, phi, float(rec.times[0]), float(rec.times[-1]))
+            levels = adjoint_profile(first, phi, float(rec.times[0]), float(rec.times[-1]))
             for e, entry in enumerate(cfg.noise.entries):
                 header.append(f"<sigma[{entry.k[0]},{entry.k[1]}]^{entry.parity},"
                               f"K {mode.label()}>")

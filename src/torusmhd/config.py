@@ -48,6 +48,14 @@ _RUN_KEYS = {"T", "seed", "snapshot_stride", "ensemble_size", "workers"}
 _TOP_KEYS = {"equation", "noise", "run", "analysis"}
 
 
+def _is_int(v) -> bool:  # bool subclasses int, yet true is not a count
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _check_keys(section: dict, allowed: set, where: str, errors: list[str]) -> None:
     for key in section:
         if key not in allowed:
@@ -69,21 +77,21 @@ def validate_config(doc: dict) -> ExperimentConfig:
     beta = eq.get("beta")
     n_cut = eq.get("n_cut")
     dt = eq.get("dt")
-    if not isinstance(alpha, (int, float)):
+    if not _is_number(alpha):
         errors.append("equation.alpha must be a number")
     elif alpha <= 1:
         errors.append(f"alpha must exceed 1 (got {alpha})")
-    if not isinstance(beta, (int, float)):
+    if not _is_number(beta):
         errors.append("equation.beta must be a number")
     elif beta <= 1:
         errors.append(f"beta must exceed 1 (got {beta})")
-    if not isinstance(n_cut, int) or n_cut < 1:
+    if not _is_int(n_cut) or n_cut < 1:
         errors.append("equation.n_cut must be a positive integer")
-    if not isinstance(dt, (int, float)) or dt <= 0:
+    if not _is_number(dt) or dt <= 0:
         errors.append("equation.dt must be a positive number")
     grid = eq.get("grid")
-    if grid is not None and (not isinstance(grid, int) or grid % 2 or
-                             (isinstance(n_cut, int) and grid < 3 * n_cut + 1)):
+    if grid is not None and (not _is_int(grid) or grid % 2 or
+                             (_is_int(n_cut) and grid < 3 * n_cut + 1)):
         errors.append("equation.grid must be an even integer >= 3*n_cut + 1")
     nonlin = eq.get("nonlinearity_enabled", True)
     if not isinstance(nonlin, bool):
@@ -108,7 +116,7 @@ def validate_config(doc: dict) -> ExperimentConfig:
             k = entry.get("k")
             amps = entry.get("amplitudes", [1.0, 1.0])
             if (not isinstance(k, list) or len(k) != 2
-                    or not all(isinstance(v, int) for v in k)):
+                    or not all(_is_int(v) for v in k)):
                 errors.append(f"{where}.k must be a pair of integers")
                 continue
             k = (k[0], k[1])
@@ -116,13 +124,13 @@ def validate_config(doc: dict) -> ExperimentConfig:
                 errors.append(f"{where}.k must be nonzero")
                 continue
             if (not isinstance(amps, list) or len(amps) != 2
-                    or not all(isinstance(a, (int, float)) for a in amps)):
+                    or not all(_is_number(a) for a in amps)):
                 errors.append(f"{where}.amplitudes must be a pair of numbers")
                 continue
             if any(a == 0 for a in amps):
                 errors.append(f"{where}: amplitudes must be non-zero")
                 continue
-            if isinstance(n_cut, int) and norm_sq(k) > n_cut * n_cut:
+            if _is_int(n_cut) and norm_sq(k) > n_cut * n_cut:
                 errors.append(f"{where}: forced mode {list(k)} outside truncation "
                               f"n_cut={n_cut}")
                 continue
@@ -138,22 +146,21 @@ def validate_config(doc: dict) -> ExperimentConfig:
     _check_keys(run_doc, _RUN_KEYS, "'run'", errors)
     horizon = run_doc.get("T")
     seed = run_doc.get("seed")
-    if not isinstance(horizon, (int, float)) or horizon <= 0:
+    if not _is_number(horizon) or horizon <= 0:
         errors.append("run.T must be a positive number")
-    if not isinstance(seed, int):
+    if not _is_int(seed):
         errors.append("run.seed must be present and an integer "
                       "(stochastic runs never default to wall-clock seeds)")
     stride = run_doc.get("snapshot_stride", 1)
-    if not isinstance(stride, int) or stride < 1:
+    if not _is_int(stride) or stride < 1:
         errors.append("run.snapshot_stride must be a positive integer")
     ensemble = run_doc.get("ensemble_size", 1)
-    if not isinstance(ensemble, int) or ensemble < 1:
+    if not _is_int(ensemble) or ensemble < 1:
         errors.append("run.ensemble_size must be a positive integer")
     workers = run_doc.get("workers", 1)
-    if not isinstance(workers, int) or workers < 1:
+    if not _is_int(workers) or workers < 1:
         errors.append("run.workers must be a positive integer")
-    if (isinstance(horizon, (int, float)) and isinstance(dt, (int, float)) and dt > 0
-            and horizon > 0):
+    if _is_number(horizon) and _is_number(dt) and dt > 0 and horizon > 0:
         n = horizon / dt
         if abs(n - round(n)) > 1e-9 * max(1.0, n):
             errors.append(f"run.T={horizon} is not a whole number of steps of dt={dt}")
@@ -191,11 +198,13 @@ def apply_overrides(doc: dict, overrides: dict[str, Any]) -> dict:
     """Apply dotted-path overrides such as {'run.seed': 7} to a config document."""
     doc = json.loads(json.dumps(doc))  # deep copy
     for dotted, value in overrides.items():
-        parts = dotted.split(".")
+        *parents, key = dotted.split(".")
         cursor = doc
-        for p in parts[:-1]:
-            cursor = cursor.setdefault(p, {})
-        cursor[parts[-1]] = value
+        for p in parents:
+            cursor = cursor.setdefault(p, {}) if isinstance(cursor, dict) else None
+        if not isinstance(cursor, dict):
+            raise ConfigError([f"override {dotted!r} does not name a key inside an object"])
+        cursor[key] = value
     return doc
 
 

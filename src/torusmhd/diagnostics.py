@@ -95,6 +95,8 @@ class ErgodicReport:
 
 
 def _seed_repr(seed):
+    if isinstance(seed, np.random.SeedSequence):
+        return [seed.entropy, *seed.spawn_key]
     return seed if isinstance(seed, (int, type(None))) else str(seed)
 
 
@@ -108,12 +110,27 @@ def ensemble_map(worker: Callable[[int], object], n: int, workers: int = 1) -> l
 
 #: stream index reserved for pilot/centering runs, clear of replica indices
 PILOT_STREAM = 1_000_000_007
+#: spawn-key family of the cone-sampling streams, one stream per Malliavin path
+CONE_STREAM = 1
 
 
 def trajectory_seed(master, index: int):
     if index < 0:
         raise ValueError("trajectory stream index must be non-negative")
     return (int(master), int(index))
+
+
+def cone_seed(master, path: int) -> np.random.SeedSequence:
+    """Stream for sampling the cone of one Malliavin path.
+
+    A spawned SeedSequence zero-pads its entropy to four 32-bit words before
+    appending the spawn key, so it hashes at least six words, while a
+    ``trajectory_seed`` stream with master and index below 2**64 hashes at
+    most four: the two families never share a stream.
+    """
+    if path < 0:
+        raise ValueError("cone stream path index must be non-negative")
+    return np.random.SeedSequence(int(master), spawn_key=(CONE_STREAM, int(path)))
 
 
 # ---------------------------------------------------------------------------

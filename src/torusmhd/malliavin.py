@@ -2,17 +2,18 @@
 
 The forward tangent flow linearizes the one-step map of the nonlinear solver
 exactly: with E the diagonal integrating factor and L_n the linearized
-advection at the frozen state U_n,
+advection at the frozen state U_n, L_n x = B(U_n, x) + B(x, U_n),
 
     tangent:  xi   -> E (xi - dt L_n xi)
-    adjoint:  rho  -> (I - dt L_n^T) (E rho),
+    adjoint:  rho  -> (I - dt L_n^T) (E rho).
 
-so the backward flow is the exact matrix transpose of the forward one and the
-duality <J xi, phi> = <xi, K phi> holds to floating-point precision, not just
-to discretization order.  L_n^T is realized analytically (integration by
-parts plus gradient-tensor contractions on the dealiased grid), which agrees
-with the literal transpose because the grid quadrature is exact below the
-Nyquist limit; a test pins this down by assembling both matrices densely.
+L_n is assembled as a dense matrix from the triad table of the truncation
+(:class:`~torusmhd.galerkin.TriadTable`), and the adjoint multiplies by the
+transpose of that same matrix, so the backward flow is the exact transpose
+of the forward one by construction and the duality
+<J xi, phi> = <xi, K phi> holds to floating-point precision, not just to
+discretization order.  The second variation takes its quadratic source from
+the same table.
 
 The response Gram matrix over a low-mode block is accumulated from one
 backward solve per basis vector,
@@ -36,22 +37,22 @@ from typing import Optional
 
 import numpy as np
 
+from .diagnostics import _seed_repr
 from .galerkin import (
     EquationParams,
     ModeBasis,
     NoiseSpec,
     SpectralState,
     TrajectoryRecord,
-    bilinear_transform,
-    slot_stack,
-    slot_unstack,
+    bilinear_convolution,
+    triad_table,
 )
 from .lattice import MAGNETIC, VELOCITY, Mode, norm_sq
 from .reachability import ForcedSet, parity_unions
 
 
 class FrozenPath:
-    """A stride-1 trajectory with cached physical fields for linearization."""
+    """A stride-1 trajectory along which the solver is linearized."""
 
     def __init__(self, record: TrajectoryRecord):
         if record.snapshot_stride != 1:
@@ -64,7 +65,6 @@ class FrozenPath:
         self.states: np.ndarray = record.states
         lam = self.basis.dissipation_array(self.params)
         self.decay = np.exp(-lam * self.dt)
-        self._fields: dict[int, tuple] = {}
 
     def index_of(self, t: float) -> int:
         rel = (t - float(self.record.times[0])) / self.dt
@@ -73,64 +73,21 @@ class FrozenPath:
             raise ValueError(f"time {t} is not on the step grid of the path")
         return i
 
-    def fields(self, n: int):
-        """Physical values and gradient tensors of (u, b) at step n."""
-        cached = self._fields.get(n)
-        if cached is None:
-            w, g = self.basis.synthesize_with_gradient(
-                slot_stack(self.basis, self.states[n]))
-            cached = (w[0], w[1], g[0], g[1])
-            self._fields[n] = cached
-        return cached
+    def jacobian(self, n: int) -> np.ndarray:
+        """Dense L_n, the derivative of the advection term at step n."""
+        if not self.params.nonlinearity_enabled:
+            return np.zeros((self.basis.dim, self.basis.dim))
+        return triad_table(self.basis.n_cut).jacobian(self.states[n])
 
 
-def _adv(w, g):
-    # (w . grad) field, with g[..., d, c, :, :] = d-th derivative of component c
-    return np.einsum("...dmn,...dcmn->...cmn", w, g)
+# One step of each flow; xi and rho are single vectors or batches of rows.
+def _tangent_step(path: FrozenPath, jac: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    return path.decay * (xi - path.dt * xi @ jac.T)
 
 
-def _grad_dot(g, phi):
-    # G(w, phi)_i = sum_j (d_i w_j) phi_j
-    return np.einsum("...icmn,...cmn->...imn", g, phi)
-
-
-def linearized_advection(path: FrozenPath, n: int, xi: np.ndarray) -> np.ndarray:
-    """Derivative of the advection term at the frozen state, applied to xi."""
-    basis = path.basis
-    if not path.params.nonlinearity_enabled:
-        return np.zeros_like(xi)
-    u, b, gu, gb = path.fields(n)
-    x, gx = basis.synthesize_with_gradient(slot_stack(basis, xi))
-    xu, xb, gxu, gxb = x[0], x[1], gx[0], gx[1]
-    rows = np.stack([
-        _adv(u, gxu) - _adv(b, gxb) + _adv(xu, gu) - _adv(xb, gb),
-        _adv(u, gxb) - _adv(b, gxu) + _adv(xu, gb) - _adv(xb, gu),
-    ])
-    return slot_unstack(basis, basis.gather(rows))
-
-
-def linearized_advection_adjoint(path: FrozenPath, n: int, phi: np.ndarray) -> np.ndarray:
-    """Exact transpose of :func:`linearized_advection` on the truncation."""
-    basis = path.basis
-    if not path.params.nonlinearity_enabled:
-        return np.zeros_like(phi)
-    u, b, gu, gb = path.fields(n)
-    p, gp = basis.synthesize_with_gradient(slot_stack(basis, phi))
-    pu, pb, gpu, gpb = p[0], p[1], gp[0], gp[1]
-    rows = np.stack([
-        -_adv(u, gpu) + _adv(b, gpb) + _grad_dot(gu, pu) + _grad_dot(gb, pb),
-        _adv(b, gpu) - _adv(u, gpb) - _grad_dot(gb, pu) - _grad_dot(gu, pb),
-    ])
-    return slot_unstack(basis, basis.gather(rows))
-
-
-def _tangent_step(path: FrozenPath, n: int, xi: np.ndarray) -> np.ndarray:
-    return path.decay * (xi - path.dt * linearized_advection(path, n, xi))
-
-
-def _adjoint_step(path: FrozenPath, n: int, rho: np.ndarray) -> np.ndarray:
+def _adjoint_step(path: FrozenPath, jac: np.ndarray, rho: np.ndarray) -> np.ndarray:
     rho = path.decay * rho
-    return rho - path.dt * linearized_advection_adjoint(path, n, rho)
+    return rho - path.dt * rho @ jac
 
 
 def jacobian_apply(path: FrozenPath, xi: SpectralState, s: float, t: float) -> SpectralState:
@@ -140,7 +97,7 @@ def jacobian_apply(path: FrozenPath, xi: SpectralState, s: float, t: float) -> S
         raise ValueError("need s <= t")
     v = xi.coeffs.copy()
     for n in range(i, j):
-        v = _tangent_step(path, n, v)
+        v = _tangent_step(path, path.jacobian(n), v)
     return SpectralState(path.basis, v, t)
 
 
@@ -151,7 +108,7 @@ def adjoint_apply(path: FrozenPath, phi: SpectralState, r: float, t: float) -> S
         raise ValueError("need r <= t")
     v = phi.coeffs.copy()
     for n in range(j - 1, i - 1, -1):
-        v = _adjoint_step(path, n, v)
+        v = _adjoint_step(path, path.jacobian(n), v)
     return SpectralState(path.basis, v, r)
 
 
@@ -170,12 +127,13 @@ def second_variation_apply(path: FrozenPath, xi: SpectralState, xi2: SpectralSta
     a, b = xi.coeffs.copy(), xi2.coeffs.copy()
     rho = np.zeros(basis.dim)
     for n in range(i, j):
+        jac = path.jacobian(n)
         src = np.zeros(basis.dim)
         if path.params.nonlinearity_enabled:
-            src = bilinear_transform(basis, a, b) + bilinear_transform(basis, b, a)
-        rho = path.decay * (rho - path.dt * (linearized_advection(path, n, rho) + src))
-        a = _tangent_step(path, n, a)
-        b = _tangent_step(path, n, b)
+            src = bilinear_convolution(basis, a, b) + bilinear_convolution(basis, b, a)
+        rho = _tangent_step(path, jac, rho) - path.dt * path.decay * src
+        a = _tangent_step(path, jac, a)
+        b = _tangent_step(path, jac, b)
     return SpectralState(basis, rho, t)
 
 
@@ -192,7 +150,7 @@ def adjoint_profile(path: FrozenPath, phi: np.ndarray, r: float, t: float) -> np
     levels[j - i] = phi
     v = phi.copy()
     for n in range(j - 1, i - 1, -1):
-        v = _adjoint_step(path, n, v)
+        v = _adjoint_step(path, path.jacobian(n), v)
         levels[n - i] = v
     return levels
 
@@ -291,7 +249,7 @@ class ConeReport:
             "sampled_inf": self.sampled_inf,
             "dual_lower_bound": self.dual_lower_bound,
             "samples": self.samples,
-            "seed": self.seed if isinstance(self.seed, (int, type(None))) else str(self.seed),
+            "seed": _seed_repr(self.seed),
         }
 
 

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from torusmhd import cli
 from torusmhd.cli import main
 from torusmhd.config import (
     ConfigError,
@@ -86,6 +87,15 @@ class TestValidation:
             assert len(exc.violations) == 3
         else:
             pytest.fail("expected ConfigError")
+
+    @pytest.mark.parametrize("section, key", [
+        ("equation", "n_cut"), ("equation", "grid"), ("run", "seed"),
+        ("run", "snapshot_stride"), ("run", "ensemble_size"), ("run", "workers")])
+    def test_bool_rejected_for_integer_fields(self, section, key):
+        doc = small_config()
+        doc[section][key] = True
+        with pytest.raises(ConfigError, match=f"{section}.{key}"):
+            validate_config(doc)
 
 
 class TestCli:
@@ -233,6 +243,28 @@ class TestCli:
         entry = report["per_path"][0]
         assert entry["dual_lower_bound"] <= entry["sampled_inf"] + 1e-12
         assert (out / "response_profiles.csv").exists()
+
+    def test_malliavin_simulates_each_path_once(self, tmp_path, monkeypatch):
+        real, seeds = cli.simulate, []
+        monkeypatch.setattr(cli, "simulate",
+                            lambda *a, **kw: seeds.append(a[4]) or real(*a, **kw))
+        doc = small_config(horizon=0.02)
+        doc["analysis"] = {"paths": 2, "cone_samples": 5,
+                           "profile_modes": [{"slot": "magnetic", "k": [0, 1]}]}
+        out = tmp_path / "mal"
+        assert main(["malliavin", "--config", write_config(tmp_path, doc),
+                     "--out", str(out)]) == 0
+        assert seeds == [(5, 0), (5, 1)]
+        assert (out / "response_profiles.csv").exists()
+
+    def test_override_into_list_is_a_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, small_config())
+        code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "x"),
+                     "--set", "noise.z0.0.k=[0,2]"])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config"
+        assert any("noise.z0.0.k" in v for v in err["violations"])
 
     def test_override_flag(self, tmp_path):
         cfg = write_config(tmp_path, small_config())

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from torusmhd.diagnostics import (
+    PILOT_STREAM,
     Observable,
     clt_sample,
+    cone_seed,
     ensemble_map,
     exp_moment_probe,
     ks_against_fitted_normal,
@@ -15,6 +17,7 @@ from torusmhd.diagnostics import (
     normalized_integral,
     rho_upper_bound,
     time_average,
+    trajectory_seed,
 )
 from torusmhd.galerkin import (
     EMPTY_NOISE,
@@ -190,6 +193,24 @@ class TestEnsembleMap:
         for workers in (1, 3):
             out = ensemble_map(lambda i: i * i, 7, workers)
             assert out == [i * i for i in range(7)]
+
+
+class TestStreams:
+    @staticmethod
+    def state(seed):
+        return tuple(np.random.default_rng(seed).integers(0, 2**63, size=2))
+
+    def test_cone_streams_disjoint_from_trajectory_streams(self):
+        # cone sampling once used trajectory_seed(master, 10_000 + p), which is
+        # the stream of path 10_000 + p
+        master = 1234
+        paths = {self.state(trajectory_seed(master, i)) for i in range(20_050)}
+        paths.add(self.state(trajectory_seed(master, PILOT_STREAM)))
+        cones = {self.state(cone_seed(master, p)) for p in range(50)}
+        assert len(cones) == 50
+        assert not cones & paths
+        assert self.state(cone_seed(master, 7)) == self.state(cone_seed(master, 7))
+        assert self.state(cone_seed(master, 7)) != self.state(cone_seed(master + 1, 7))
 
 
 class TestMomentProbe:

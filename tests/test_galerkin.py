@@ -12,7 +12,10 @@ from torusmhd.galerkin import (
     NoiseSpec,
     SimulationError,
     SpectralState,
+    TRIAD_MAX_N_CUT,
     bilinear_B,
+    bilinear_convolution,
+    bilinear_transform,
     commutator_with_drift,
     default_grid,
     dissipation_multiplier,
@@ -21,6 +24,7 @@ from torusmhd.galerkin import (
     simulate,
     sobolev_energy,
     step,
+    triad_table,
     unit_mode_state,
     zero_state,
 )
@@ -66,26 +70,6 @@ class TestBasis:
         quad = np.sum(w**2) * (2 * math.pi / basis.grid) ** 2
         assert quad == pytest.approx(float(c @ c), rel=1e-12)
 
-    def test_fft_fallback_matches_dense_operators(self):
-        # large truncations fall back to FFT transforms; both code paths
-        # realize the same linear maps
-        dense = ModeBasis(3)
-        fft = ModeBasis(3)
-        fft._use_dense = False
-        rng = np.random.default_rng(2)
-        c = rng.standard_normal((2, 5, 2 * dense.n_k))
-        assert np.max(np.abs(dense.synthesize(c) - fft.synthesize(c))) < 1e-13
-        fd, gd = dense.synthesize_with_gradient(c)
-        ff, gf = fft.synthesize_with_gradient(c)
-        assert np.max(np.abs(fd - ff)) < 1e-13
-        assert np.max(np.abs(gd - gf)) < 1e-12
-        w = rng.standard_normal((3, 2, dense.grid, dense.grid))
-        assert np.max(np.abs(dense.gather(w) - fft.gather(w))) < 1e-13
-        cu = rng.standard_normal(dense.dim)
-        bt_dense = bilinear_B(dense, cu, cu)
-        bt_fft = bilinear_B(fft, cu, cu)
-        assert np.max(np.abs(bt_dense - bt_fft)) < 1e-12
-
 
 class TestDissipation:
     def test_hand_values(self):
@@ -125,6 +109,28 @@ class TestBilinear:
             bt = bilinear_B(basis, cu, cv, "transform")
             bc = bilinear_B(basis, cu, cv, "convolution")
             assert np.max(np.abs(bt - bc)) < 1e-10
+
+    def test_selected_route_matches_grid_route(self):
+        # the simulator's route switches at TRIAD_MAX_N_CUT; on both sides it
+        # must agree with the grid route, and it must be the faster route
+        rng = np.random.default_rng(5)
+        for n_cut, route in ((TRIAD_MAX_N_CUT, bilinear_convolution),
+                             (TRIAD_MAX_N_CUT + 1, bilinear_transform)):
+            basis = ModeBasis(n_cut)
+            cu = rng.standard_normal((2, basis.dim))
+            cv = rng.standard_normal(basis.dim)
+            got = bilinear_B(basis, cu, cv)
+            assert np.array_equal(got, route(basis, cu, cv))
+            assert np.max(np.abs(got - bilinear_transform(basis, cu, cv))) < 1e-10
+
+    def test_linear_regime_never_builds_triads(self):
+        basis = ModeBasis(5)
+        params = make_params(n_cut=5, nonlinearity_enabled=False)
+        noise = NoiseSpec.uniform([(0, 1)])
+        lookups = lambda: triad_table.cache_info().hits + triad_table.cache_info().misses
+        before = lookups()
+        simulate(zero_state(basis), params, noise, 0.01, seed=0)
+        assert lookups() == before
 
     def test_skew_symmetry_both_paths(self):
         basis = ModeBasis(4)

@@ -11,6 +11,7 @@ from torusmhd.galerkin import (
     ModeBasis,
     NoiseSpec,
     SpectralState,
+    bilinear_transform,
     simulate,
     unit_mode_state,
     zero_state,
@@ -24,8 +25,6 @@ from torusmhd.malliavin import (
     assemble_malliavin,
     cone_infimum,
     jacobian_apply,
-    linearized_advection,
-    linearized_advection_adjoint,
     malliavin_quadratic_form,
     sample_cone_state,
     second_variation_apply,
@@ -119,12 +118,12 @@ class TestAdjoint:
         out = adjoint_apply(path, phi, 0.2, 0.2)
         assert np.array_equal(out.coeffs, phi.coeffs)
 
-    def test_linearized_operator_transpose_is_exact(self):
+    def test_triad_jacobian_matches_grid_linearization(self):
+        # the adjoint multiplies by the transpose of this very matrix
         path, basis, *_ = nonlinear_path()
-        eye = np.eye(basis.dim)
-        fwd = linearized_advection(path, 37, eye)      # rows are L e_i
-        adj = linearized_advection_adjoint(path, 37, eye)
-        assert np.max(np.abs(fwd - adj.T)) < 1e-12
+        u, eye = path.states[37], np.eye(basis.dim)
+        grid = bilinear_transform(basis, u, eye) + bilinear_transform(basis, eye, u)
+        assert np.max(np.abs(path.jacobian(37) - grid.T)) < 1e-12  # grid rows are L e_i
 
     def test_duality(self):
         path, basis, *_ = nonlinear_path()
