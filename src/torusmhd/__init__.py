@@ -50,6 +50,7 @@ from .galerkin import (  # noqa: F401
     bilinear_B,
     dissipation_multiplier,
     energy_balance_residual,
+    ensemble,
     simulate,
     step,
     unit_mode_state,
@@ -70,6 +71,7 @@ from .malliavin import (  # noqa: F401
 from .diagnostics import (  # noqa: F401
     Observable,
     clt_sample,
+    exp_moment_ensemble,
     exp_moment_probe,
     mixing_decay_estimate,
     rho_upper_bound,

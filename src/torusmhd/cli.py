@@ -3,7 +3,7 @@
 Every run writes its artifacts (CSV time series, JSON reports) plus one
 ``manifest.json`` that echoes the full configuration, the tool version, wall
 times, and a SHA-256 digest of every emitted file.  Data artifacts are byte
-deterministic given (config, seed) and independent of the worker-pool size;
+deterministic given (config, seed) and independent of ``--workers``;
 the manifest's wall times are the only run-specific metadata.
 """
 
@@ -26,8 +26,7 @@ from .diagnostics import (
     Observable,
     clt_sample,
     cone_seed,
-    ensemble_map,
-    exp_moment_probe,
+    exp_moment_ensemble,
     mixing_decay_estimate,
     time_average,
     trajectory_seed,
@@ -375,14 +374,8 @@ def cmd_moment(args) -> int:
     u0 = _state_from_spec(cfg.analysis.get("initial_state"), basis)
     eta = float(cfg.analysis.get("eta", 0.01))
     n_traj = cfg.run.ensemble_size
-
-    def one(i: int):
-        rec = simulate(u0, cfg.equation, cfg.noise, cfg.run.horizon,
-                       trajectory_seed(cfg.run.seed, i),
-                       snapshot_stride=cfg.run.snapshot_stride)
-        return exp_moment_probe(rec, cfg.equation, eta)
-
-    probes = ensemble_map(one, n_traj, cfg.run.workers)
+    probes = exp_moment_ensemble(u0, cfg.equation, cfg.noise, cfg.run.horizon, n_traj,
+                                 cfg.run.seed, eta, snapshot_stride=cfg.run.snapshot_stride)
     times = probes[0].times
     logs = np.array([p.log_statistic for p in probes])
     # pathwise bound shape: C * exp(eta ||U0||^2 e^{-t}); fit C on the ensemble mean
@@ -455,7 +448,9 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return EXIT_CONFIG
     except SimulationError as exc:
-        print(json.dumps({"error": "blowup", "time": exc.time}), file=sys.stderr)
+        print(json.dumps({"error": "blowup", "time": exc.time, "step": exc.step,
+                          "replica": exc.replica, "last_finite_norm": exc.last_norm}),
+              file=sys.stderr)
         return EXIT_BLOWUP
     except Exception as exc:  # stable machine-readable failure surface
         print(json.dumps({"error": "runtime", "type": type(exc).__name__,

@@ -6,10 +6,16 @@ Mixing is probed through differences of ensemble expectations of fixed
 observables rather than through a Wasserstein distance: estimating the latter
 at desk scale is statistically infeasible, while the decay of
 |E_a Phi(U_t) - E_b Phi(U_t)| is the directly testable shadow of exponential
-mixing.  Every stochastic routine takes an explicit seed, derives one
-independent stream per trajectory from (seed, index), and reduces ensemble
-results keyed by trajectory index, so estimates are reproducible bit-for-bit
-and independent of worker scheduling.
+mixing.  Every stochastic routine takes an explicit seed and derives one
+independent stream per trajectory from (seed, index), so estimates are
+reproducible bit-for-bit.
+
+Replica ensembles step all their trajectories in one time loop
+(``galerkin.ensemble``) and reduce each snapshot to the observable values
+they need as the loop steps, so no ensemble holds its trajectories' states.
+Each replica's values equal those of a lone ``simulate`` on its stream, so
+the batching changes no result.  The ``workers`` arguments are accepted for
+compatibility; results and speed do not depend on them.
 
 In the linear regime (nonlinearity disabled) every forced mode is an exactly
 discretized Ornstein-Uhlenbeck process, which supplies closed-form oracles:
@@ -20,7 +26,6 @@ variance amp^4/(2 lam^3) for the squared coefficient.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -31,10 +36,13 @@ from .galerkin import (
     EquationParams,
     ModeBasis,
     NoiseSpec,
+    SimulationError,
     SpectralState,
     TrajectoryRecord,
+    ensemble,
     simulate,
     sobolev_energy,
+    trajectory_seed,
 )
 from .lattice import Mode
 
@@ -100,24 +108,26 @@ def _seed_repr(seed):
     return seed if isinstance(seed, (int, type(None))) else str(seed)
 
 
-def ensemble_map(worker: Callable[[int], object], n: int, workers: int = 1) -> list:
-    """Order-preserving parallel map keyed by trajectory index."""
-    if workers <= 1:
-        return [worker(i) for i in range(n)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, range(n)))
-
-
 #: stream index reserved for pilot/centering runs, clear of replica indices
 PILOT_STREAM = 1_000_000_007
 #: spawn-key family of the cone-sampling streams, one stream per Malliavin path
 CONE_STREAM = 1
 
 
-def trajectory_seed(master, index: int):
-    if index < 0:
-        raise ValueError("trajectory stream index must be non-negative")
-    return (int(master), int(index))
+def _replica_series(u0: SpectralState, params: EquationParams, noise: NoiseSpec,
+                    horizon: float, seed, streams, reduce: Callable[[np.ndarray], np.ndarray],
+                    snapshot_stride: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Snapshot times and ``reduce(coeffs)`` of every snapshot of an ensemble.
+
+    The ensemble runs one replica of ``u0`` per stream index in ``streams``;
+    ``reduce`` maps the (R, dim) states of one snapshot to (R, ...) values,
+    which are stacked as (n_snapshots, R, ...).  Only reduced values are kept.
+    """
+    times, values = [], []
+    for t, coeffs in ensemble(u0, params, noise, horizon, seed, streams, snapshot_stride):
+        times.append(t)
+        values.append(np.array(reduce(coeffs)))  # a copy: no view keeps the states alive
+    return np.array(times), np.array(values)
 
 
 def cone_seed(master, path: int) -> np.random.SeedSequence:
@@ -205,18 +215,19 @@ def clt_sample(u0: SpectralState, params: EquationParams, noise: NoiseSpec,
         raise ValueError("need at least two replicas")
     if pilot_horizon is None:
         pilot_horizon = 4.0 * horizon
-    pilot = simulate(u0, params, noise, pilot_horizon, trajectory_seed(seed, PILOT_STREAM),
-                     snapshot_stride=snapshot_stride)
+    try:
+        pilot = simulate(u0, params, noise, pilot_horizon,
+                         trajectory_seed(seed, PILOT_STREAM), snapshot_stride=snapshot_stride)
+    except SimulationError as exc:
+        raise SimulationError(exc.time, exc.step, PILOT_STREAM, exc.last_norm) from None
     m_hat = time_average(pilot, obs, burn_in=min(burn_in, 0.5 * pilot_horizon)).estimate
+    del pilot  # its states are not needed while the replicas run
 
-    def one(i: int) -> float:
-        rec = simulate(u0, params, noise, horizon, trajectory_seed(seed, i),
-                       snapshot_stride=snapshot_stride)
-        mask = rec.times >= burn_in - 1e-12
-        vals = obs.of_states(rec.basis, rec.states[mask])
-        return normalized_integral(vals, rec.times[mask], m_hat)
-
-    samples = np.array(ensemble_map(one, n_replicas, workers))
+    times, values = _replica_series(u0, params, noise, horizon, seed, range(n_replicas),
+                                    lambda c: obs.of_states(u0.basis, c), snapshot_stride)
+    mask = times >= burn_in - 1e-12
+    samples = np.array([normalized_integral(values[mask, i], times[mask], m_hat)
+                        for i in range(n_replicas)])
     ks_stat, ks_p = ks_against_fitted_normal(samples)
     return CltReport(samples=samples, m_hat=m_hat,
                      sample_variance=float(samples.var(ddof=1)),
@@ -266,22 +277,14 @@ def mixing_decay_estimate(u0_a: SpectralState, u0_b: SpectralState,
     """
 
     def run(u0: SpectralState, tag: int):
-        def one(i: int) -> np.ndarray:
-            rec = simulate(u0, params, noise, horizon,
-                           trajectory_seed(seed, tag * n_replicas + i),
-                           snapshot_stride=snapshot_stride)
-            return obs.of_states(rec.basis, rec.states)
+        streams = range(tag * n_replicas, (tag + 1) * n_replicas)
+        times, values = _replica_series(u0, params, noise, horizon, seed, streams,
+                                        lambda c: obs.of_states(u0.basis, c), snapshot_stride)
+        vals = np.ascontiguousarray(values.T)  # (replica, time), as reduced replica by replica
+        return times, vals.mean(axis=0), vals.var(axis=0, ddof=1) / n_replicas
 
-        vals = np.array(ensemble_map(one, n_replicas, workers))
-        return vals.mean(axis=0), vals.var(axis=0, ddof=1) / n_replicas
-
-    n_steps = int(round(horizon / params.dt))
-    snap = list(range(0, n_steps + 1, snapshot_stride))
-    if snap[-1] != n_steps:
-        snap.append(n_steps)
-    times = u0_a.time + params.dt * np.array(snap)
-    mean_a, var_a = run(u0_a, 1)
-    mean_b, var_b = run(u0_b, 2)
+    times, mean_a, var_a = run(u0_a, 1)
+    _, mean_b, var_b = run(u0_b, 2)
     diff = np.abs(mean_a - mean_b)
     floor = snr * np.sqrt(var_a + var_b)
 
@@ -325,6 +328,21 @@ class MomentProbe:
                 "log_statistic": self.log_statistic.tolist()}
 
 
+def _energy_and_dissipation(basis: ModeBasis, states: np.ndarray,
+                            params: EquationParams) -> np.ndarray:
+    """||U||^2 and the dissipation of each state row, stacked on a last axis."""
+    e_u, e_b = sobolev_energy(basis, states, params)
+    return np.stack([(states**2).sum(axis=-1), e_u + e_b], axis=-1)
+
+
+def _moment_series(times: np.ndarray, nsq: np.ndarray, diss: np.ndarray,
+                   eta: float) -> MomentProbe:
+    cum = np.concatenate([[0.0], np.cumsum(0.5 * (diss[1:] + diss[:-1]) * np.diff(times))])
+    rel_t = times - times[0]
+    log_stat = eta * nsq + 0.5 * eta * np.exp(-rel_t / 2.0) * cum
+    return MomentProbe(times=times, log_statistic=log_stat)
+
+
 def exp_moment_probe(rec: TrajectoryRecord, params: EquationParams,
                      eta: float) -> MomentProbe:
     """Pathwise series eta ||U_t||^2 + (eta/2) e^{-t/2} * cumulative dissipation.
@@ -334,14 +352,23 @@ def exp_moment_probe(rec: TrajectoryRecord, params: EquationParams,
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
-    e_u, e_b = sobolev_energy(rec.basis, rec.states, params)
-    diss = e_u + e_b
-    cum = np.concatenate([[0.0], np.cumsum(
-        0.5 * (diss[1:] + diss[:-1]) * np.diff(rec.times))])
-    nsq = (rec.states**2).sum(axis=1)
-    rel_t = rec.times - rec.times[0]
-    log_stat = eta * nsq + 0.5 * eta * np.exp(-rel_t / 2.0) * cum
-    return MomentProbe(times=rec.times, log_statistic=log_stat)
+    nsq, diss = _energy_and_dissipation(rec.basis, rec.states, params).T
+    return _moment_series(rec.times, nsq, diss, eta)
+
+
+def exp_moment_ensemble(u0: SpectralState, params: EquationParams, noise: NoiseSpec,
+                        horizon: float, n_replicas: int, seed: int, eta: float,
+                        snapshot_stride: int = 1) -> list[MomentProbe]:
+    """``exp_moment_probe`` of the trajectories on streams 0 .. n_replicas - 1.
+
+    The ensemble is reduced to ||U||^2 and the dissipation as it steps.
+    """
+    if eta <= 0:
+        raise ValueError("eta must be positive")
+    times, values = _replica_series(u0, params, noise, horizon, seed, range(n_replicas),
+                                    lambda c: _energy_and_dissipation(u0.basis, c, params),
+                                    snapshot_stride)
+    return [_moment_series(times, *values[:, i].T, eta) for i in range(n_replicas)]
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,15 @@ forced magnetic mode is sampled with its exact variance
 amp^2 (1 - e^{-2 lam dt}) / (2 lam).  This is unconditionally stable for the
 stiff fractional multipliers and reproduces the linear regime exactly, which
 the test oracles rely on.
+
+There is one time loop, and its state may carry a leading replica axis:
+coefficients of shape (R, dim), one row per trajectory, each driven by its
+own stream.  Both routes of B and the step broadcast over that axis and
+treat the rows independently, so a replica batch steps R trajectories for
+the Python overhead of one, and each row equals the lone trajectory on its
+stream bit for bit.  ``simulate`` is the one-trajectory case that keeps the
+whole record; ``ensemble`` yields the batch at each snapshot, for callers
+that reduce the states as the loop steps.
 """
 
 from __future__ import annotations
@@ -55,11 +64,24 @@ from .lattice import (
 
 
 class SimulationError(RuntimeError):
-    """Raised when the integration produces non-finite values."""
+    """Raised when the integration produces non-finite values.
 
-    def __init__(self, time: float):
-        super().__init__(f"integration produced non-finite values at t={time:g}")
+    ``step`` is the index of the step that did, ``replica`` the trajectory
+    stream index of the first replica it hit (None outside an ensemble), and
+    ``last_norm`` the coefficient norm of that replica's last finite state.
+    """
+
+    def __init__(self, time: float, step: Optional[int] = None,
+                 replica: Optional[int] = None, last_norm: Optional[float] = None):
+        detail = ""
+        if step is not None:
+            who = "" if replica is None else f", replica {replica}"
+            detail = f" (step {step}{who}, last finite norm {last_norm:g})"
+        super().__init__(f"integration produced non-finite values at t={time:g}{detail}")
         self.time = time
+        self.step = step
+        self.replica = replica
+        self.last_norm = last_norm
 
 
 def default_grid(n_cut: int) -> int:
@@ -480,7 +502,9 @@ def _advance(coeffs: np.ndarray, ctx: _StepContext, basis: ModeBasis,
     coeffs = ctx.decay * coeffs
     if dw is not None and ctx.noise_idx.size:
         # dw carries variance dt; rescale to the exact one-step convolution.
-        coeffs[ctx.noise_idx] += ctx.noise_scale * (dw / ctx.sqrt_dt)
+        # Indexing the transposes picks the forced entries of every replica
+        # row; on a lone state it costs less than half of coeffs[..., idx].
+        coeffs.T[ctx.noise_idx] += (ctx.noise_scale * (dw / ctx.sqrt_dt)).T
     return coeffs
 
 
@@ -497,6 +521,89 @@ def step(state: SpectralState, params: EquationParams, noise: NoiseSpec,
     if not np.all(np.isfinite(coeffs)):
         raise SimulationError(t)
     return SpectralState(state.basis, coeffs, t)
+
+
+def trajectory_seed(master, index: int):
+    """Seed of trajectory stream ``index`` of a run seeded with ``master``."""
+    if index < 0:
+        raise ValueError("trajectory stream index must be non-negative")
+    return (int(master), int(index))
+
+
+def snapshot_steps(n_steps: int, snapshot_stride: int) -> list[int]:
+    """Step indices of the snapshot grid: every stride-th step, and the last."""
+    snaps = list(range(0, n_steps + 1, snapshot_stride))
+    if snaps[-1] != n_steps:
+        snaps.append(n_steps)
+    return snaps
+
+
+def _step_count(horizon: float, dt: float, snapshot_stride: int) -> int:
+    if horizon <= 0:
+        raise ValueError("horizon must be positive")
+    if snapshot_stride < 1:
+        raise ValueError("snapshot_stride must be >= 1")
+    n_steps = int(round(horizon / dt))
+    if abs(n_steps * dt - horizon) > 1e-9 * max(1.0, horizon) or n_steps < 1:
+        raise ValueError(f"horizon {horizon} is not a multiple of dt {dt}")
+    return n_steps
+
+
+def _integrate(basis: ModeBasis, coeffs: np.ndarray, t0: float,
+               params: EquationParams, noise: NoiseSpec, n_steps: int,
+               snapshot_stride: int, dw_blocks, streams=None):
+    """The time loop: yield (t, coeffs) at every snapshot step.
+
+    ``coeffs`` is (dim,) or (R, dim), and ``dw_blocks`` yields the Brownian
+    increments as (steps, d) or (steps, R, d) blocks that together cover
+    ``n_steps`` steps.  Every replica row evolves on its own, so a row's
+    values do not depend on the rows batched with it.  ``streams`` names the
+    rows in a blow-up report.
+    """
+    ctx = _step_context(basis, params, noise)
+    snaps = snapshot_steps(n_steps, snapshot_stride)
+    times = t0 + params.dt * np.array(snaps)
+    yield times[0], coeffs
+    row, n = 1, 0
+    for block in dw_blocks:
+        for dw in block:
+            advanced = _advance(coeffs, ctx, basis, params, dw)
+            n += 1
+            if not np.all(np.isfinite(advanced)):
+                finite = np.isfinite(advanced.reshape(-1, basis.dim)).all(-1)
+                bad = int(np.flatnonzero(~finite)[0])
+                raise SimulationError(t0 + n * params.dt, n,
+                                      None if streams is None else streams[bad],
+                                      math.hypot(*coeffs.reshape(-1, basis.dim)[bad]))
+            coeffs = advanced
+            if snaps[row] == n:
+                yield times[row], coeffs
+                row += 1
+
+
+#: Normals drawn per block of an ensemble's increments, over all replicas.
+NOISE_BLOCK = 1 << 15
+
+
+def ensemble(state0: SpectralState, params: EquationParams, noise: NoiseSpec,
+             horizon: float, seed, streams, snapshot_stride: int = 1):
+    """Replicas of ``state0`` in one time loop; yields (t, coeffs (R, dim)).
+
+    Row i is the trajectory on stream ``trajectory_seed(seed, streams[i])``
+    and equals, bit for bit, the states of ``simulate`` with that seed.  Its
+    increments are drawn in blocks of steps, which concatenate to the single
+    draw ``simulate`` makes, and only the current snapshot is held.
+    """
+    streams = [int(i) for i in streams]
+    n_steps = _step_count(horizon, params.dt, snapshot_stride)
+    rngs = [np.random.default_rng(trajectory_seed(seed, i)) for i in streams]
+    block = max(1, NOISE_BLOCK // max(1, len(rngs) * noise.dim))
+    dw_blocks = (np.stack([rng.standard_normal((min(block, n_steps - s), noise.dim))
+                           for rng in rngs], axis=1) * math.sqrt(params.dt)
+                 for s in range(0, n_steps, block))
+    coeffs = np.tile(state0.coeffs, (len(rngs), 1))
+    return _integrate(state0.basis, coeffs, state0.time, params, noise, n_steps,
+                      snapshot_stride, dw_blocks, streams)
 
 
 @dataclass
@@ -527,17 +634,12 @@ def simulate(state0: SpectralState, params: EquationParams, noise: NoiseSpec,
              increments: Optional[np.ndarray] = None) -> TrajectoryRecord:
     """Integrate up to the horizon; deterministic in (inputs, seed).
 
+    The one-replica case of the ensemble loop, with the whole record kept.
     ``increments`` overrides the generated Brownian increments (used by the
     refinement studies that share one underlying path across step sizes).
     """
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
-    if snapshot_stride < 1:
-        raise ValueError("snapshot_stride must be >= 1")
     dt = params.dt
-    n_steps = int(round(horizon / dt))
-    if abs(n_steps * dt - horizon) > 1e-9 * max(1.0, horizon) or n_steps < 1:
-        raise ValueError(f"horizon {horizon} is not a multiple of dt {dt}")
+    n_steps = _step_count(horizon, dt, snapshot_stride)
     if increments is not None:
         dws = np.asarray(increments, dtype=float)
         if dws.shape != (n_steps, noise.dim):
@@ -546,24 +648,12 @@ def simulate(state0: SpectralState, params: EquationParams, noise: NoiseSpec,
         rng = np.random.default_rng(seed)
         dws = rng.standard_normal((n_steps, noise.dim)) * math.sqrt(dt)
 
-    ctx = _step_context(state0.basis, params, noise)
-    snap_idx = list(range(0, n_steps + 1, snapshot_stride))
-    if snap_idx[-1] != n_steps:
-        snap_idx.append(n_steps)
-    states = np.empty((len(snap_idx), state0.basis.dim))
-    times = state0.time + dt * np.array(snap_idx)
-
-    coeffs = state0.coeffs.copy()
-    states[0] = coeffs
-    out_row = 1
-    for n in range(n_steps):
-        coeffs = _advance(coeffs, ctx, state0.basis, params,
-                          dws[n] if noise.dim else None)
-        if not np.all(np.isfinite(coeffs)):
-            raise SimulationError(state0.time + (n + 1) * dt)
-        if out_row < len(snap_idx) and snap_idx[out_row] == n + 1:
-            states[out_row] = coeffs
-            out_row += 1
+    n_snaps = len(snapshot_steps(n_steps, snapshot_stride))
+    times, states = np.empty(n_snaps), np.empty((n_snaps, state0.basis.dim))
+    for row, (t, coeffs) in enumerate(_integrate(state0.basis, state0.coeffs.copy(),
+                                                 state0.time, params, noise, n_steps,
+                                                 snapshot_stride, [dws])):
+        times[row], states[row] = t, coeffs
 
     return TrajectoryRecord(
         basis=state0.basis, params=params, noise=noise, seed=seed, dt=dt,

@@ -3,6 +3,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from torusmhd import cli
@@ -13,6 +14,7 @@ from torusmhd.config import (
     parse_config,
     validate_config,
 )
+from torusmhd.diagnostics import PILOT_STREAM
 
 
 def write_config(tmp_path: Path, doc: dict, name: str = "cfg.json") -> str:
@@ -265,6 +267,23 @@ class TestCli:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "config"
         assert any("noise.z0.0.k" in v for v in err["violations"])
+
+    def test_blowup_exit_names_step_and_replica(self, tmp_path, capsys):
+        doc = small_config(horizon=5.0)
+        doc["equation"]["dt"] = 1.0
+        doc["analysis"] = {
+            "observable": {"kind": "total_energy"}, "replicas": 4,
+            "initial_state": [{"slot": "velocity", "k": [0, 1], "amplitude": 1e200},
+                              {"slot": "velocity", "k": [1, 0], "amplitude": 1e200}]}
+        with np.errstate(all="ignore"):
+            code = main(["clt", "--config", write_config(tmp_path, doc),
+                         "--out", str(tmp_path / "clt")])
+        assert code == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "blowup"
+        # the centering pilot runs first and blows up in its first step
+        assert (err["time"], err["step"], err["replica"]) == (1.0, 1, PILOT_STREAM)
+        assert err["last_finite_norm"] == pytest.approx(1e200 * 2**0.5)
 
     def test_override_flag(self, tmp_path):
         cfg = write_config(tmp_path, small_config())

@@ -1,6 +1,11 @@
 """Time averages, CLT machinery, mixing decay, moment probe, path metric bound."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +15,7 @@ from torusmhd.diagnostics import (
     Observable,
     clt_sample,
     cone_seed,
-    ensemble_map,
+    exp_moment_ensemble,
     exp_moment_probe,
     ks_against_fitted_normal,
     mixing_decay_estimate,
@@ -188,11 +193,82 @@ class TestMixing:
         assert np.array_equal(rep1.abs_diff, rep4.abs_diff)
 
 
-class TestEnsembleMap:
-    def test_order_preserved_any_worker_count(self):
-        for workers in (1, 3):
-            out = ensemble_map(lambda i: i * i, 7, workers)
-            assert out == [i * i for i in range(7)]
+class TestBatchedEnsembles:
+    """One batched time loop against per-seed simulate and the same reduction."""
+
+    @pytest.mark.parametrize("n_cut", [3, 9])  # triad route, FFT route
+    def test_matches_per_seed_simulate(self, n_cut):
+        basis = ModeBasis(n_cut)
+        params = EquationParams(alpha=1.5, beta=1.5, n_cut=n_cut, dt=0.01)
+        noise = NoiseSpec.uniform([(0, 1), (1, 1), (1, 0), (1, 2)], 0.8)
+        mode = make_mode(MAGNETIC, (0, 1), COS)
+        obs = Observable("bounded_lipschitz", mode, scale=2.0)
+        u0 = SpectralState(basis, 0.3 * np.random.default_rng(n_cut).standard_normal(basis.dim))
+        u1 = unit_mode_state(basis, mode, 2.0)
+        # 20 steps on a stride-3 grid, so the last snapshot is off the stride
+        horizon, stride, burn_in, pilot_horizon, n, seed = 0.2, 3, 0.05, 0.4, 3, 11
+
+        def record(u, stream, T=horizon):
+            return simulate(u, params, noise, T, trajectory_seed(seed, stream),
+                            snapshot_stride=stride)
+
+        m_hat = time_average(record(u0, PILOT_STREAM, pilot_horizon), obs,
+                             burn_in=burn_in).estimate
+        samples = []
+        for i in range(n):
+            rec = record(u0, i)
+            keep = rec.times >= burn_in - 1e-12
+            samples.append(normalized_integral(obs.of_states(basis, rec.states[keep]),
+                                               rec.times[keep], m_hat))
+        clt = clt_sample(u0, params, noise, obs, horizon, n, seed,
+                         pilot_horizon=pilot_horizon, burn_in=burn_in,
+                         snapshot_stride=stride)
+        assert clt.m_hat == m_hat
+        assert np.array_equal(clt.samples, samples)
+
+        def moments(u, tag):
+            vals = np.array([obs.of_states(basis, record(u, tag * n + i).states)
+                             for i in range(n)])
+            return vals.mean(axis=0), vals.var(axis=0, ddof=1) / n
+
+        (mean_a, var_a), (mean_b, var_b) = moments(u0, 1), moments(u1, 2)
+        mix = mixing_decay_estimate(u0, u1, params, noise, obs, horizon, n, seed,
+                                    snapshot_stride=stride)
+        assert np.array_equal(mix.times, record(u0, 0).times)
+        assert np.array_equal(mix.abs_diff, np.abs(mean_a - mean_b))
+        assert np.array_equal(mix.noise_floor, 3.0 * np.sqrt(var_a + var_b))
+
+        probes = exp_moment_ensemble(u0, params, noise, horizon, n, seed, 0.05,
+                                     snapshot_stride=stride)
+        for i, probe in enumerate(probes):
+            alone = exp_moment_probe(record(u0, i), params, 0.05)
+            assert np.array_equal(probe.times, alone.times)
+            assert np.array_equal(probe.log_statistic, alone.log_statistic)
+
+    def test_clt_memory_holds_reduced_values_only(self):
+        # the states of all replicas, (50, 2501, 24) float64, would take 24 MB
+        code = textwrap.dedent("""
+            import tracemalloc
+            from torusmhd.diagnostics import Observable, clt_sample
+            from torusmhd.galerkin import EquationParams, NoiseSpec, ModeBasis, zero_state
+            from torusmhd.lattice import COS, MAGNETIC, make_mode
+
+            basis = ModeBasis(2)
+            params = EquationParams(alpha=1.5, beta=1.0, n_cut=2, dt=0.02,
+                                    nonlinearity_enabled=False)
+            noise = NoiseSpec.from_amplitudes({(0, 1): (1.0, 1.0)})
+            obs = Observable("mode_coefficient_squared", make_mode(MAGNETIC, (0, 1), COS))
+            tracemalloc.start()
+            clt_sample(zero_state(basis), params, noise, obs, horizon=50.0,
+                       n_replicas=50, seed=3)
+            print(tracemalloc.get_traced_memory()[1])
+        """)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True)
+        assert int(out.stdout) < 50 * 2501 * 24 * 8 / 4
 
 
 class TestStreams:

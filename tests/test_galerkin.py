@@ -21,9 +21,12 @@ from torusmhd.galerkin import (
     dissipation_multiplier,
     embed_coeffs,
     energy_balance_residual,
+    ensemble,
     simulate,
+    snapshot_steps,
     sobolev_energy,
     step,
+    trajectory_seed,
     triad_table,
     unit_mode_state,
     zero_state,
@@ -263,6 +266,37 @@ class TestSimulate:
         huge = SpectralState(basis, 1e200 * np.ones(basis.dim))
         with np.errstate(all="ignore"), pytest.raises(SimulationError):
             simulate(huge, params, EMPTY_NOISE, 5.0, seed=0)
+
+    def test_blowup_names_step_replica_and_last_norm(self):
+        basis = ModeBasis(2)
+        params = make_params(n_cut=2, dt=1.0, alpha=1.01, beta=1.01)
+        huge = SpectralState(basis, 1e200 * np.ones(basis.dim))
+        noise = NoiseSpec.uniform([(0, 1)], 1.0)
+        with np.errstate(all="ignore"), pytest.raises(SimulationError) as err:
+            list(ensemble(huge, params, noise, 5.0, seed=0, streams=[4, 7]))
+        assert (err.value.step, err.value.replica, err.value.time) == (1, 4, 1.0)
+        assert err.value.last_norm == pytest.approx(1e200 * math.sqrt(basis.dim))
+        with np.errstate(all="ignore"), pytest.raises(SimulationError) as err:
+            simulate(huge, params, noise, 5.0, seed=0)
+        assert (err.value.step, err.value.replica) == (1, None)
+
+    def test_snapshot_grid_keeps_last_step(self):
+        assert snapshot_steps(6, 2) == [0, 2, 4, 6]
+        assert snapshot_steps(7, 3) == [0, 3, 6, 7]
+        assert snapshot_steps(1, 5) == [0, 1]
+
+    def test_ensemble_rows_are_the_lone_trajectories(self):
+        basis = ModeBasis(3)
+        params = make_params(n_cut=3)
+        noise = NoiseSpec.uniform([(0, 1), (1, 1)], 1.0)
+        u0 = SpectralState(basis, 0.2 * np.random.default_rng(4).standard_normal(basis.dim))
+        snaps = list(ensemble(u0, params, noise, 0.05, seed=9, streams=[2, 0, 5],
+                              snapshot_stride=2))
+        for row, stream in enumerate([2, 0, 5]):
+            rec = simulate(u0, params, noise, 0.05, trajectory_seed(9, stream),
+                           snapshot_stride=2)
+            assert np.array_equal([t for t, _ in snaps], rec.times)
+            assert np.array_equal([c[row] for _, c in snaps], rec.states)
 
 
 class TestEnergyBalance:
