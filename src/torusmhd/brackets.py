@@ -22,7 +22,10 @@ closed forms above serve only as cross-checks.  ``verify_bracket_identity``
 re-derives each direction by an independent numerical route (pointwise field
 evaluation, FFT differentiation, grid quadrature) and reports the ratio of
 the two computations, which must be one global constant across every
-admissible (k, l, combo, slot).
+admissible (k, l, combo, slot).  ``_pair_quadrature`` runs that route once
+per wavevector pair, for all eight (slot, combo) fields and every candidate
+mode at once.  Both routes read the signed sums of advections that define the
+combinations from ``_COMBO_TABLE``, and share no arithmetic.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from .lattice import (
     norm_sq,
     pairing_coefficient,
     perp_dot,
-    project_onto_mode,
+    project_onto_modes,
     scalar_values,
 )
 
@@ -92,17 +95,6 @@ class TrigVectorField:
             out[0] += amp[0] * s
             out[1] += amp[1] * s
         return out
-
-    def scale(self, factor: float) -> "TrigVectorField":
-        return field_from_terms(
-            TrigTerm((factor * a1, factor * a2), p, k) for (a1, a2), p, k in self.terms
-        )
-
-    def __add__(self, other: "TrigVectorField") -> "TrigVectorField":
-        return field_from_terms(itertools.chain(self.terms, other.terms))
-
-    def __sub__(self, other: "TrigVectorField") -> "TrigVectorField":
-        return self + other.scale(-1.0)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -205,46 +197,38 @@ def leray_project(f: TrigVectorField, slot: int) -> DirectionExpansion:
     return DirectionExpansion(coeffs)
 
 
-def _sym_advect(k: Vec, m: int, l: Vec, m2: int) -> TrigVectorField:
-    """b(e_k^m, e_l^m2) + b(e_l^m2, e_k^m)."""
-    return advect(k, m, l, m2) + advect(l, m2, k, m)
+#: The eight advections (e_a . grad) e_b between the four unnormalized basis
+#: fields of a pair (k, l), indexed 0 = (k, cos), 1 = (k, sin), 2 = (l, cos),
+#: 3 = (l, sin).
+_ADVECTIONS = ((0, 3), (3, 0), (2, 1), (1, 2), (1, 3), (3, 1), (2, 0), (0, 2))
 
-
-def _antisym_advect(k: Vec, m: int, l: Vec, m2: int) -> TrigVectorField:
-    """b(e_k^m, e_l^m2) - b(e_l^m2, e_k^m)."""
-    return advect(k, m, l, m2) - advect(l, m2, k, m)
+#: _COMBO_TABLE[slot, combo] weights the advections into the pre-projection
+#: field of that direction combination.  Velocity combos pair magnetic modes
+#: symmetrically, b(e, e') + b(e', e), and the double bracket of the drift
+#: with two noise directions carries an overall minus sign; magnetic combos
+#: pair a velocity mode with a magnetic one antisymmetrically, b(e, e') -
+#: b(e', e).  For the parity-(1,1)/(0,0) magnetic combos both brackets keep
+#: the (k, l) argument order.
+_COMBO_TABLE = np.array([
+    [[-1, -1, -1, -1, 0, 0, 0, 0],  # velocity sum01
+     [-1, -1, 1, 1, 0, 0, 0, 0],  # diff01
+     [0, 0, 0, 0, -1, -1, -1, -1],  # sum11_00
+     [0, 0, 0, 0, -1, -1, 1, 1]],  # diff11_00
+    [[1, -1, 1, -1, 0, 0, 0, 0],  # magnetic sum01
+     [1, -1, -1, 1, 0, 0, 0, 0],  # diff01
+     [0, 0, 0, 0, 1, -1, -1, 1],  # sum11_00
+     [0, 0, 0, 0, 1, -1, 1, -1]],  # diff11_00
+], dtype=float)
 
 
 def _combo_field(k: Vec, l: Vec, combo: str, slot: int) -> TrigVectorField:
-    """Pre-projection field of one direction combination.
-
-    Velocity combos pair magnetic modes symmetrically (the double bracket of
-    the drift with two noise directions carries an overall minus sign);
-    magnetic combos pair a velocity mode with a magnetic one
-    antisymmetrically.  For the parity-(1,1)/(0,0) magnetic combos both
-    brackets keep the (k, l) argument order.
-    """
-    if slot == VELOCITY:
-        if combo == "sum01":
-            f = _sym_advect(k, COS, l, SIN) + _sym_advect(l, COS, k, SIN)
-        elif combo == "diff01":
-            f = _sym_advect(k, COS, l, SIN) - _sym_advect(l, COS, k, SIN)
-        elif combo == "sum11_00":
-            f = _sym_advect(k, SIN, l, SIN) + _sym_advect(l, COS, k, COS)
-        elif combo == "diff11_00":
-            f = _sym_advect(k, SIN, l, SIN) - _sym_advect(l, COS, k, COS)
-        else:
-            raise ValueError(f"unknown combo {combo!r}")
-        return f.scale(-1.0)
-    if combo == "sum01":
-        return _antisym_advect(k, COS, l, SIN) + _antisym_advect(l, COS, k, SIN)
-    if combo == "diff01":
-        return _antisym_advect(k, COS, l, SIN) - _antisym_advect(l, COS, k, SIN)
-    if combo == "sum11_00":
-        return _antisym_advect(k, SIN, l, SIN) + _antisym_advect(k, COS, l, COS)
-    if combo == "diff11_00":
-        return _antisym_advect(k, SIN, l, SIN) - _antisym_advect(k, COS, l, COS)
-    raise ValueError(f"unknown combo {combo!r}")
+    """Pre-projection field of one direction combination, reduced exactly."""
+    fields = [(q, p) for q in (k, l) for p in (COS, SIN)]
+    weights = _COMBO_TABLE[slot, COMBOS.index(combo)]
+    return field_from_terms(
+        TrigTerm((w * amp[0], w * amp[1]), parity, q)
+        for w, (a, b) in zip(weights, _ADVECTIONS) if w
+        for amp, parity, q in advect(*fields[a], *fields[b]).terms)
 
 
 def combo_target(k: Vec, l: Vec, combo: str, slot: int) -> tuple[Vec, int]:
@@ -308,50 +292,29 @@ def magnetic_direction(k: Vec, l: Vec, combo: str) -> DirectionExpansion:
 # Independent numerical verification.
 # ---------------------------------------------------------------------------
 
-def _fft_gradient(component: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    m = component.shape[0]
-    q = np.fft.fftfreq(m, d=1.0 / m)
-    f = np.fft.fft2(component)
-    d1 = np.real(np.fft.ifft2(1j * q[:, None] * f))
-    d2 = np.real(np.fft.ifft2(1j * q[None, :] * f))
-    return d1, d2
+def _pair_quadrature(k: Vec, l: Vec, grid: Optional[int]) -> tuple[list[Vec], np.ndarray]:
+    """Grid projections of all eight (slot, combo) fields of the pair (k, l).
 
-
-def _advect_values(k: Vec, m: int, l: Vec, m2: int, x1, x2) -> np.ndarray:
-    """(e_k^m . grad) e_l^m2 sampled on the grid, differentiating by FFT."""
-    u = field_values(k, m, x1, x2)
-    v = field_values(l, m2, x1, x2)
-    out = np.zeros_like(v)
-    for i in range(2):
-        d1, d2 = _fft_gradient(v[i])
-        out[i] = u[0] * d1 + u[1] * d2
-    return out
-
-
-def _combo_values(k: Vec, l: Vec, combo: str, slot: int, x1, x2) -> np.ndarray:
-    def sym(a, ma, b, mb):
-        return _advect_values(a, ma, b, mb, x1, x2) + _advect_values(b, mb, a, ma, x1, x2)
-
-    def antisym(a, ma, b, mb):
-        return _advect_values(a, ma, b, mb, x1, x2) - _advect_values(b, mb, a, ma, x1, x2)
-
-    if slot == VELOCITY:
-        if combo == "sum01":
-            f = sym(k, COS, l, SIN) + sym(l, COS, k, SIN)
-        elif combo == "diff01":
-            f = sym(k, COS, l, SIN) - sym(l, COS, k, SIN)
-        elif combo == "sum11_00":
-            f = sym(k, SIN, l, SIN) + sym(l, COS, k, COS)
-        else:
-            f = sym(k, SIN, l, SIN) - sym(l, COS, k, COS)
-        return -f
-    if combo == "sum01":
-        return antisym(k, COS, l, SIN) + antisym(l, COS, k, SIN)
-    if combo == "diff01":
-        return antisym(k, COS, l, SIN) - antisym(l, COS, k, SIN)
-    if combo == "sum11_00":
-        return antisym(k, SIN, l, SIN) + antisym(k, COS, l, COS)
-    return antisym(k, SIN, l, SIN) - antisym(k, COS, l, COS)
+    Samples the four basis fields on the grid, differentiates them by one
+    batched FFT, forms the eight advections pointwise and combines them by
+    :data:`_COMBO_TABLE`; every combo field is then projected onto every
+    candidate mode by :func:`project_onto_modes`.  Returns the candidate
+    wavevectors and the projections indexed [slot, combo, candidate, parity].
+    """
+    if grid is None:
+        grid = 4 * (max(abs(k[0]), abs(k[1])) + max(abs(l[0]), abs(l[1]))) + 4
+    grid += grid % 2
+    x1, x2 = grid_mesh(grid)
+    fields = np.stack([field_values(q, p, x1, x2) for q in (k, l) for p in (COS, SIN)])
+    freq = np.fft.fftfreq(grid, d=1.0 / grid)
+    spectrum = np.fft.fft2(fields)
+    grads = np.real(np.fft.ifft2(1j * np.stack([freq[:, None] * spectrum,
+                                                freq[None, :] * spectrum])))
+    a, b = np.array(_ADVECTIONS).T
+    advections = fields[a, 0, None] * grads[0, b] + fields[a, 1, None] * grads[1, b]
+    combos = np.tensordot(_COMBO_TABLE, advections, axes=1)
+    candidates = _candidate_wavevectors(k, l)
+    return candidates, project_onto_modes(combos, candidates)
 
 
 @dataclass
@@ -389,59 +352,28 @@ class VerificationReport:
 def _candidate_wavevectors(k: Vec, l: Vec) -> list[Vec]:
     bound = norm_sq((abs(k[0]) + abs(l[0]), abs(k[1]) + abs(l[1])))
     r = int(np.ceil(np.sqrt(bound)))
-    cands = []
-    for q1 in range(0, r + 1):
-        for q2 in range(-r, r + 1):
-            q = (q1, q2)
-            if q != (0, 0) and is_canonical(q) and norm_sq(q) <= bound:
-                cands.append(q)
-    return cands
+    return [(q1, q2) for q1 in range(r + 1) for q2 in range(-r, r + 1)
+            if is_canonical((q1, q2)) and norm_sq((q1, q2)) <= bound]
 
 
-def verify_bracket_identity(
-    k: Vec, l: Vec, combo: str, slot: int, grid: Optional[int] = None,
-    zero_tol: float = 1e-10,
-) -> VerificationReport:
-    """Cross-check one symbolic direction against brute-force grid projection.
-
-    The brute-force route samples the raw advection fields pointwise,
-    differentiates by FFT, and projects by quadrature onto every candidate
-    mode.  ``selection_ok`` requires both routes to agree on the single
-    surviving mode (or on total vanishing); ``coefficient_ratio`` is
-    symbolic/quadrature on that mode and must equal the same constant for
-    every admissible input.  ``pinned_constant`` is the surviving coefficient
-    relative to the closed-form weight, i.e. the empirically determined
-    normalization constant of the direction lemmas (unit-basis convention).
-    """
-    symbolic = _direction_expansion(k, l, combo, slot)
-    if grid is None:
-        grid = 4 * (max(abs(k[0]), abs(k[1])) + max(abs(l[0]), abs(l[1]))) + 4
-    if grid % 2:
-        grid += 1
-    x1, x2 = grid_mesh(grid)
-    values = _combo_values(k, l, combo, slot, x1, x2)
-
-    projections = {
-        (q, parity): project_onto_mode(values, q, parity)
-        for q in _candidate_wavevectors(k, l)
-        for parity in (COS, SIN)
-    }
-    surviving = {key: c for key, c in projections.items() if abs(c) > zero_tol}
-
+def _report(k: Vec, l: Vec, combo: str, slot: int, symbolic: DirectionExpansion,
+            candidates: list[Vec], projections: np.ndarray,
+            zero_tol: float) -> VerificationReport:
+    """Compare a symbolic expansion with its (candidate, parity) projections."""
+    magnitudes = np.abs(projections)
+    surviving = magnitudes > zero_tol
     if symbolic.degenerate is not None or symbolic.is_empty():
-        ok = not surviving
         return VerificationReport(
-            k, l, combo, slot, selection_ok=ok, degenerate=symbolic.degenerate,
-            max_stray=max((abs(c) for c in projections.values()), default=0.0),
+            k, l, combo, slot, selection_ok=not surviving.any(),
+            degenerate=symbolic.degenerate, max_stray=float(magnitudes.max()),
         )
 
     mode, sym_coeff = symbolic.single_mode()
-    ok = set(surviving) == {(mode.k, mode.parity)}
-    quad_coeff = projections.get((mode.k, mode.parity), 0.0)
-    stray = max(
-        (abs(c) for key, c in projections.items() if key != (mode.k, mode.parity)),
-        default=0.0,
-    )
+    at = (candidates.index(mode.k), mode.parity)
+    ok = bool(surviving[at]) and int(surviving.sum()) == 1
+    quad_coeff = float(projections[at])
+    magnitudes[at] = 0.0
+    stray = float(magnitudes.max())
     ratio = sym_coeff / quad_coeff if quad_coeff else float("nan")
 
     raw_target, parity = combo_target(k, l, combo, slot)
@@ -456,8 +388,33 @@ def verify_bracket_identity(
     )
 
 
+def verify_bracket_identity(
+    k: Vec, l: Vec, combo: str, slot: int, grid: Optional[int] = None,
+    zero_tol: float = 1e-10,
+) -> VerificationReport:
+    """Cross-check one symbolic direction against brute-force grid projection.
+
+    The brute-force route samples the basis fields pointwise, differentiates
+    by FFT, and projects the combined advection field by quadrature onto every
+    candidate mode (:func:`_pair_quadrature`).  ``selection_ok`` requires both
+    routes to agree on the single surviving mode (or on total vanishing);
+    ``coefficient_ratio`` is symbolic/quadrature on that mode and must equal
+    the same constant for every admissible input.  ``pinned_constant`` is the
+    surviving coefficient relative to the closed-form weight, i.e. the
+    empirically determined normalization constant of the direction lemmas
+    (unit-basis convention).
+    """
+    symbolic = _direction_expansion(k, l, combo, slot)
+    candidates, projections = _pair_quadrature(k, l, grid)
+    return _report(k, l, combo, slot, symbolic, candidates,
+                   projections[slot, COMBOS.index(combo)], zero_tol)
+
+
 def verification_sweep(kmax: int, grid: Optional[int] = None) -> list[VerificationReport]:
-    """All (k, l, combo, slot) reports with nonzero |k|, |l| <= kmax."""
+    """All (k, l, combo, slot) reports with nonzero |k|, |l| <= kmax.
+
+    Each (k, l) pair runs one quadrature for its eight reports.
+    """
     points = [
         (a, b)
         for a in range(-kmax, kmax + 1)
@@ -466,7 +423,8 @@ def verification_sweep(kmax: int, grid: Optional[int] = None) -> list[Verificati
     ]
     reports = []
     for k, l in itertools.product(points, repeat=2):
-        for slot in (VELOCITY, MAGNETIC):
-            for combo in COMBOS:
-                reports.append(verify_bracket_identity(k, l, combo, slot, grid=grid))
+        candidates, projections = _pair_quadrature(k, l, grid)
+        reports += [_report(k, l, combo, slot, _direction_expansion(k, l, combo, slot),
+                            candidates, projections[slot, c], zero_tol=1e-10)
+                    for slot in (VELOCITY, MAGNETIC) for c, combo in enumerate(COMBOS)]
     return reports

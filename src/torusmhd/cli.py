@@ -109,8 +109,12 @@ def _parse_vec_list(text: str) -> list[tuple[int, int]]:
         chunk = chunk.strip()
         if not chunk:
             continue
-        a, b = chunk.split(",")
-        out.append((int(a), int(b)))
+        try:
+            a, b = map(int, chunk.split(","))
+        except ValueError:
+            raise ValueError(f"malformed wavevector {chunk!r}: expected 'a,b' "
+                             "with integers a and b") from None
+        out.append((a, b))
     if not out:
         raise ValueError(f"empty wavevector list {text!r}")
     return out
@@ -161,6 +165,8 @@ def _load_config(args) -> ExperimentConfig:
 
 def cmd_bracket(args) -> int:
     started = time.time()
+    if args.kmax < 1:
+        raise ConfigError([f"--kmax must be >= 1 (got {args.kmax})"])
     out = OutputDir.create(args.out)
     reports = verification_sweep(args.kmax)
     constants = [r.pinned_constant for r in reports
@@ -179,15 +185,39 @@ def cmd_bracket(args) -> int:
     return EXIT_OK if summary["all_selection_ok"] else EXIT_ERROR
 
 
+def _reach_inputs(args) -> tuple[ForcedSet, list[tuple[int, int]]]:
+    """The forced set and certificate targets, or a ConfigError listing every violation."""
+    violations = []
+    forced, targets = None, []
+    try:
+        forced = ForcedSet.from_wavevectors(_parse_vec_list(args.z0))
+    except ValueError as exc:
+        violations.append(f"--z0: {exc}")
+    if args.certify:
+        try:
+            targets = _parse_vec_list(args.certify)
+        except ValueError as exc:
+            violations.append(f"--certify: {exc}")
+        if (0, 0) in targets:
+            violations.append("--certify: targets must be nonzero")
+    if args.radius < 1:
+        violations.append(f"--radius must be >= 1 (got {args.radius})")
+    if args.max_depth is not None and args.max_depth < 1:
+        violations.append(f"--max-depth must be >= 1 (got {args.max_depth})")
+    if violations:
+        raise ConfigError(violations)
+    return forced, targets
+
+
 def cmd_reach(args) -> int:
     started = time.time()
+    forced, targets = _reach_inputs(args)
     out = OutputDir.create(args.out)
-    forced = ForcedSet.from_wavevectors(_parse_vec_list(args.z0))
     report = check_hypothesis(forced, args.radius, args.max_depth)
     payload = {"z0": sorted(list(v) for v in forced.z0), "report": report.to_dict()}
-    if args.certify:
+    if targets:
         certs = []
-        for target in _parse_vec_list(args.certify):
+        for target in targets:
             for parity in ("even", "odd"):
                 cert = generation_certificate(forced, target, parity)
                 certs.append(cert.to_dict())

@@ -154,7 +154,7 @@ def time_average(rec: TrajectoryRecord, obs: Observable, burn_in: float = 0.0,
     if mask.sum() < 2:
         raise ValueError("averaging window is empty")
     times = rec.times[mask]
-    values = obs.of_states(rec.basis, rec.states[mask])
+    values = obs.of_states(rec.basis, rec.states)[mask]
     estimate = float(np.trapezoid(values, times) / (times[-1] - times[0]))
     nb = min(n_batches, len(values))
     usable = (len(values) // nb) * nb

@@ -143,13 +143,9 @@ def eval_basis_field(mode: Mode, x) -> np.ndarray:
 # Quadrature on the periodic grid.
 # ---------------------------------------------------------------------------
 
-def grid_1d(m: int) -> np.ndarray:
-    """Uniform periodic grid x_j = 2*pi*j/m; by periodicity it tiles [-pi, pi)."""
-    return 2.0 * math.pi * np.arange(m) / m
-
-
 def grid_mesh(m: int) -> tuple[np.ndarray, np.ndarray]:
-    x = grid_1d(m)
+    """Uniform periodic grid x_j = 2*pi*j/m per axis; by periodicity it tiles [-pi, pi)."""
+    x = 2.0 * math.pi * np.arange(m) / m
     return np.meshgrid(x, x, indexing="ij")
 
 
@@ -165,22 +161,41 @@ def _check_grid(m: int, k: Vec) -> None:
         )
 
 
+def project_onto_modes(values: np.ndarray, wavevectors) -> np.ndarray:
+    """Inner products of grid-sampled 2-vector fields with the unit modes at each wavevector.
+
+    ``values`` has shape (..., 2, m, m) sampled on :func:`grid_mesh`; the
+    result has shape (..., len(wavevectors), 2), indexed by wavevector and
+    parity.  The tensor rectangle rule is read off one DFT F = fft2(values) at
+    q mod m: the cos projection is direction(q, COS) . Re F and the sin one
+    direction(q, COS) . Im F, up to the quadrature weight.  The rule is exact
+    for trigonometric integrands below the Nyquist limit, which the resolution
+    precondition enforces for every wavevector.
+    """
+    values = np.asarray(values)
+    if values.ndim < 3 or values.shape[-3] != 2 or values.shape[-2] != values.shape[-1]:
+        raise ValueError(f"expected fields of shape (..., 2, m, m), got {values.shape}")
+    m = values.shape[-1]
+    for q in wavevectors:
+        _check_grid(m, q)
+    q = np.array(wavevectors, dtype=np.int64).reshape(-1, 2)
+    spectrum = np.fft.fft2(values)[..., q[:, 0] % m, q[:, 1] % m]
+    cos_dirs = np.array([direction(k, COS) for k in wavevectors]).reshape(-1, 2)
+    weight = (2.0 * math.pi / m) ** 2 / BASIS_NORM
+    return np.stack([np.einsum("...cn,nc->...n", spectrum.real, cos_dirs),
+                     np.einsum("...cn,nc->...n", spectrum.imag, cos_dirs)], axis=-1) * weight
+
+
 def project_onto_mode(values: np.ndarray, k: Vec, parity: int) -> float:
     """Inner product of a grid-sampled 2-vector field with the unit mode (k, parity).
 
-    ``values`` has shape (2, m, m) sampled on :func:`grid_mesh`.  The tensor
-    rectangle rule is exact for trigonometric integrands below the Nyquist
-    limit, which the resolution precondition enforces.
+    ``values`` has shape (2, m, m); the one-wavevector case of
+    :func:`project_onto_modes`.
     """
     values = np.asarray(values)
-    if values.ndim != 3 or values.shape[0] != 2 or values.shape[1] != values.shape[2]:
+    if values.ndim != 3:
         raise ValueError(f"expected field of shape (2, m, m), got {values.shape}")
-    m = values.shape[1]
-    _check_grid(m, k)
-    x1, x2 = grid_mesh(m)
-    basis = field_values(k, parity, x1, x2) / BASIS_NORM
-    weight = (2.0 * math.pi / m) ** 2
-    return float(np.sum(values * basis) * weight)
+    return float(project_onto_modes(values, [k])[0, parity])
 
 
 def spectral_divergence(values: np.ndarray) -> np.ndarray:

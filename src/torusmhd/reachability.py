@@ -16,13 +16,21 @@ missing wavevectors rather than asserting the unbounded statement.
 Intermediate sums may need to leave the reporting window before re-entering
 it, so generations are tracked inside an inflated window whose slack is
 recorded in every report.  All predicates are exact integer arithmetic.
+
+Every generation comes from one vectorized transition, :func:`_admissible_sums`
+over all (previous, forced) pairs at once; the recursion, the coverage check
+and the certificate search all run through it.  The scalar :func:`admissible`
+serves :func:`verify_chain`, so that certificate replay stays independent.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
+
+import numpy as np
 
 from .lattice import Vec, norm_sq, perp_dot
 
@@ -41,36 +49,77 @@ class ForcedSet:
             raise ValueError("forced set must be nonempty")
         if (0, 0) in z0:
             raise ValueError("forced set must not contain the zero wavevector")
+        if max(max(abs(a), abs(b)) for a, b in z0) >= COORD_LIMIT:
+            raise ValueError(f"forced wavevector coordinates must be below {COORD_LIMIT}")
         sym = frozenset(z0 | {(-a, -b) for a, b in z0})
         return cls(z0=z0, symmetrized=sym)
 
     def max_modulus(self) -> float:
         return math.sqrt(max(norm_sq(v) for v in self.symmetrized))
 
+    @functools.cached_property
+    def rows(self) -> np.ndarray:
+        """The symmetrized set as sorted (F, 2) int64 rows."""
+        return np.array(sorted(self.symmetrized), dtype=np.int64)
+
+
+#: Coordinates stay below this so that every product and key of the vectorized
+#: transition is exact in int64.
+COORD_LIMIT = 2**30
+
 
 def admissible(k: Vec, l: Vec) -> bool:
     return perp_dot(k, l) != 0 and norm_sq(k) != norm_sq(l)
 
 
+def _admissible_sums(prev: np.ndarray, forced: ForcedSet,
+                     window_norm_sq: Optional[int] = None
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every admissible nonzero sum prev[i] + forced.rows[j], optionally windowed.
+
+    Returns (k_idx, l_idx, v) over the accepted pairs in row-major (i, j)
+    order, with v = prev[k_idx] + forced.rows[l_idx].
+    """
+    if np.abs(prev).max(initial=0) >= COORD_LIMIT:
+        raise ValueError(f"wavevector coordinates must be below {COORD_LIMIT}")
+    k = prev[:, None, :]
+    l = forced.rows[None, :, :]
+    v = k + l
+    ok = ((k[..., 1] * l[..., 0] - k[..., 0] * l[..., 1] != 0)
+          & ((k * k).sum(axis=-1) != (l * l).sum(axis=-1))
+          & (v != 0).any(axis=-1))
+    if window_norm_sq is not None:
+        ok &= (v * v).sum(axis=-1) <= window_norm_sq
+    k_idx, l_idx = np.nonzero(ok)
+    return k_idx, l_idx, v[k_idx, l_idx]
+
+
+def _generations(forced: ForcedSet, max_depth: int, window_norm_sq: Optional[int]
+                 ) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    """Yield (n, rows, k_idx, l_idx) for n = 1, 2, ..., max_depth.
+
+    ``rows`` is generation n as sorted distinct rows, each with its first
+    derivation: ``k_idx`` indexes the previous generation's rows (generation
+    0 is ``forced.rows``) and ``l_idx`` the forced rows.  Stops after the
+    first empty generation.
+    """
+    prev = forced.rows
+    for n in range(1, max_depth + 1):
+        k_idx, l_idx, v = _admissible_sums(prev, forced, window_norm_sq)
+        span = 2 * int(np.abs(v[:, 1]).max(initial=0)) + 1
+        _, first = np.unique(v[:, 0] * span + v[:, 1], return_index=True)
+        prev = v[first]
+        yield n, prev, k_idx[first], l_idx[first]
+        if not len(prev):
+            return
+
+
 def next_generation(prev: set[Vec], forced: ForcedSet,
                     window_norm_sq: Optional[int] = None) -> set[Vec]:
     """Exact set {k + l : k in prev, l forced, admissible}, optionally windowed."""
-    out: set[Vec] = set()
-    for k in prev:
-        for l in forced.symmetrized:
-            if not admissible(k, l):
-                continue
-            v = (k[0] + l[0], k[1] + l[1])
-            if v == (0, 0):
-                continue
-            if window_norm_sq is not None and norm_sq(v) > window_norm_sq:
-                continue
-            out.add(v)
-    return out
-
-
-def _window(radius: int) -> int:
-    return radius * radius
+    rows = np.array(list(prev), dtype=np.int64).reshape(-1, 2)
+    _, _, v = _admissible_sums(rows, forced, window_norm_sq)
+    return set(map(tuple, v.tolist()))
 
 
 def default_max_depth(radius: int) -> int:
@@ -117,27 +166,15 @@ class GenerationTable:
 def generation_table(forced: ForcedSet, depth: int,
                      window_bound: Optional[int] = None) -> GenerationTable:
     """Iterate the recursion ``depth`` times, recording first derivations."""
-    wsq = _window(window_bound) if window_bound is not None else None
+    wsq = window_bound**2 if window_bound is not None else None
     table = GenerationTable(generations=[set(forced.symmetrized)])
-    prev = table.generations[0]
-    for n in range(1, depth + 1):
-        cur: set[Vec] = set()
-        for k in prev:
-            for l in forced.symmetrized:
-                if not admissible(k, l):
-                    continue
-                v = (k[0] + l[0], k[1] + l[1])
-                if v == (0, 0):
-                    continue
-                if wsq is not None and norm_sq(v) > wsq:
-                    continue
-                cur.add(v)
-                if v not in table.parent:
-                    table.parent[v] = (k, l, n)
-        table.generations.append(cur)
-        if not cur:
-            break
-        prev = cur
+    prev = forced.rows
+    for n, rows, k_idx, l_idx in _generations(forced, depth, wsq):
+        vs = list(map(tuple, rows.tolist()))
+        table.generations.append(set(vs))
+        for v, k, l in zip(vs, prev[k_idx].tolist(), forced.rows[l_idx].tolist()):
+            table.parent.setdefault(v, (tuple(k), tuple(l), n))
+        prev = rows
     return table
 
 
@@ -157,37 +194,32 @@ def check_hypothesis(forced: ForcedSet, radius: int,
         raise ValueError("max_depth must be >= 1")
 
     window_bound = radius + inflation_slack(forced, radius, max_depth)
-    wsq = _window(window_bound)
-    target = {
-        (a, b)
-        for a in range(-radius, radius + 1)
-        for b in range(-radius, radius + 1)
-        if (a, b) != (0, 0) and a * a + b * b <= radius * radius
-    }
+    rsq = radius * radius
+    a, b = np.meshgrid(np.arange(-radius, radius + 1), np.arange(-radius, radius + 1),
+                       indexing="ij")
+    target = (a * a + b * b <= rsq) & ((a != 0) | (b != 0))
+    covered = np.zeros((2,) + target.shape, dtype=bool)  # [even, odd]
 
-    in_window = lambda s: {v for v in s if norm_sq(v) <= radius * radius}
-    current = set(forced.symmetrized)
-    even_union = in_window(current)
-    odd_union: set[Vec] = set()
+    def cover(rows: np.ndarray, n: int) -> None:
+        inside = rows[(rows * rows).sum(axis=1) <= rsq] + radius
+        covered[n % 2, inside[:, 0], inside[:, 1]] = True
+
+    cover(forced.rows, 0)
     depth_used = 0
-    for n in range(1, max_depth + 1):
-        current = next_generation(current, forced, window_norm_sq=wsq)
+    for n, rows, _, _ in _generations(forced, max_depth, window_bound**2):
         depth_used = n
-        if not current:
-            break
-        if n % 2 == 0:
-            even_union |= in_window(current)
-        else:
-            odd_union |= in_window(current)
-        if even_union >= target and odd_union >= target:
+        cover(rows, n)
+        if (covered | ~target).all():
             break
 
+    missing = [{(int(x), int(y)) for x, y in zip(a[m], b[m])}
+               for m in target & ~covered]
     return HypothesisReport(
         radius=radius,
-        even_covered=even_union >= target,
-        odd_covered=odd_union >= target,
-        missing_even=target - even_union,
-        missing_odd=target - odd_union,
+        even_covered=not missing[0],
+        odd_covered=not missing[1],
+        missing_even=missing[0],
+        missing_odd=missing[1],
         depth_used=depth_used,
         max_depth=max_depth,
         window_bound=window_bound,
@@ -235,32 +267,26 @@ def generation_certificate(forced: ForcedSet, target: Vec, parity: str = "even",
     if max_depth is None:
         max_depth = default_max_depth(radius)
     window_bound = radius + inflation_slack(forced, radius, max_depth)
-    wsq = _window(window_bound)
     want = 0 if parity == "even" else 1
 
-    frontier = {v: [v] for v in forced.symmetrized}
-    if want == 0 and target in frontier:
+    if want == 0 and target in forced.symmetrized:
         return Certificate(target, parity, [target], 0, window_bound)
 
-    # chains[v] at step n holds one minimal derivation of v in n steps;
-    # parity classes alternate, so track the frontier only.
+    # steps[n - 1] holds generation n's first derivations; a hit at generation
+    # n is minimal for its parity, and the chain is read back through them.
+    steps = []
     depth = 0
-    for n in range(1, max_depth + 1):
+    for n, rows, k_idx, l_idx in _generations(forced, max_depth, window_bound**2):
         depth = n
-        new: dict[Vec, list[Vec]] = {}
-        for k, chain in frontier.items():
-            for l in forced.symmetrized:
-                if not admissible(k, l):
-                    continue
-                v = (k[0] + l[0], k[1] + l[1])
-                if v == (0, 0) or norm_sq(v) > wsq or v in new:
-                    continue
-                new[v] = chain + [l]
-        if n % 2 == want and target in new:
-            return Certificate(target, parity, new[target], n, window_bound)
-        if not new:
-            break
-        frontier = new
+        steps.append((k_idx, l_idx))
+        hit = np.flatnonzero((rows == target).all(axis=1))
+        if n % 2 == want and hit.size:
+            i, ls = hit[0], []
+            for back_k, back_l in reversed(steps):
+                ls.append(tuple(forced.rows[back_l[i]].tolist()))
+                i = back_k[i]
+            chain = [tuple(forced.rows[i].tolist())] + ls[::-1]
+            return Certificate(target, parity, chain, n, window_bound)
     return Certificate(target, parity, None, depth, window_bound)
 
 
@@ -287,11 +313,5 @@ def verify_chain(forced: ForcedSet, cert: Certificate) -> bool:
 def parity_unions(forced: ForcedSet, depth: int,
                   window_bound: Optional[int] = None) -> tuple[set[Vec], set[Vec]]:
     """Union of even- and odd-indexed generations up to ``depth`` inclusive."""
-    table = generation_table(forced, depth, window_bound=window_bound)
-    even: set[Vec] = set()
-    odd: set[Vec] = set()
-    for n, gen in enumerate(table.generations):
-        if n > depth:
-            break
-        (even if n % 2 == 0 else odd).update(gen)
-    return even, odd
+    gens = generation_table(forced, depth, window_bound=window_bound).generations
+    return set().union(*gens[0::2]), set().union(*gens[1::2])

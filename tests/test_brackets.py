@@ -15,6 +15,7 @@ from torusmhd.brackets import (
     leray_project,
     magnetic_direction,
     velocity_direction,
+    verification_sweep,
     verify_bracket_identity,
 )
 from torusmhd.lattice import (
@@ -257,6 +258,31 @@ class TestVerification:
         assert np.ptp(ratios) < 1e-8 * np.abs(ratios).max()
         assert np.ptp(consts) < 1e-8 * consts.max()
         assert consts.mean() == pytest.approx(BASIS_NORM, rel=1e-12)
+
+    def test_sweep_equals_per_call_reports(self):
+        # the sweep shares one quadrature per pair; each report must equal
+        # the one verify_bracket_identity builds alone, field by field
+        reports = verification_sweep(2)
+        assert len(reports) == 12 * 12 * 2 * len(COMBOS)
+        for rep in reports:
+            alone = verify_bracket_identity(rep.k, rep.l, rep.combo, rep.slot)
+            for key, value in rep.to_dict().items():
+                want = alone.to_dict()[key]
+                if isinstance(want, float) and math.isnan(want):
+                    assert math.isnan(value), (rep.k, rep.l, rep.combo, key)
+                else:
+                    assert value == want, (rep.k, rep.l, rep.combo, key)
+
+    def test_under_resolved_candidate_rejected(self):
+        # the pair (1,1), (1,-1) has the candidate (2,2), which needs a grid of 8
+        with pytest.raises(ValueError, match="under-resolves"):
+            verify_bracket_identity((1, 1), (1, -1), "sum01", MAGNETIC, grid=6)
+        rep = verify_bracket_identity((1, 1), (1, -1), "sum01", MAGNETIC, grid=8)
+        assert rep.selection_ok and rep.target_mode is not None
+        assert rep.coefficient_ratio == pytest.approx(1.0, rel=1e-12)
+        # (1,0) + (1,0) reaches (2,0), which a sweep on a grid of 4 under-resolves
+        with pytest.raises(ValueError, match="under-resolves"):
+            verification_sweep(1, grid=4)
 
 
 def test_closed_form_weight_structure():

@@ -157,6 +157,32 @@ class TestCli:
         assert payload["summary"]["all_selection_ok"]
         assert payload["summary"]["abs_constant_spread"] < 1e-10
 
+    @pytest.mark.parametrize("kmax", ["0", "-2"])
+    def test_bracket_verify_rejects_empty_sweep(self, tmp_path, capsys, kmax):
+        out = tmp_path / "bracket"
+        assert main(["bracket", "verify", "--kmax", kmax, "--out", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config"
+        assert any("--kmax" in v for v in err["violations"])
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args, flag", [
+        (["--z0", "0,0"], "--z0"),
+        (["--z0", "0,1;x"], "--z0"),
+        (["--z0", "1073741824,1"], "--z0"),
+        (["--certify=0,0"], "--certify"),
+        (["--radius", "0"], "--radius"),
+        (["--max-depth", "0"], "--max-depth"),
+    ])
+    def test_reach_malformed_input_is_a_config_error(self, tmp_path, capsys, args, flag):
+        out = tmp_path / "reach"
+        argv = ["reach", "--z0", "0,1;1,1", "--radius", "3", "--out", str(out)] + args
+        assert main(argv) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config"
+        assert len(err["violations"]) == 1 and err["violations"][0].startswith(flag)
+        assert not out.exists()
+
     def test_lln_worker_invariance(self, tmp_path):
         doc = small_config(horizon=0.2)
         doc["equation"]["nonlinearity_enabled"] = False

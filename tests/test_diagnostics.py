@@ -121,6 +121,28 @@ class TestTimeAverage:
         with pytest.raises(ValueError):
             time_average(rec, Observable("total_energy"), burn_in=1.0)
 
+    def test_reduces_before_masking(self):
+        # reducing the whole record and then masking equals the old route,
+        # which copied the kept states first, on a nonlinear record
+        basis = ModeBasis(3)
+        params = EquationParams(alpha=1.5, beta=1.5, n_cut=3, dt=0.01)
+        noise = NoiseSpec.uniform([(0, 1), (1, 1), (1, 0), (1, 2)], 0.8)
+        mode = make_mode(MAGNETIC, (1, 1), COS)
+        u0 = SpectralState(basis, 0.3 * np.random.default_rng(2).standard_normal(basis.dim))
+        rec = simulate(u0, params, noise, 1.0, seed=4, snapshot_stride=3)
+        burn_in = 0.25
+        mask = rec.times >= burn_in - 1e-12
+        times = rec.times[mask]
+        for obs in (Observable("total_energy"), Observable("mode_coefficient", mode),
+                    Observable("bounded_lipschitz", mode, scale=2.0)):
+            values = obs.of_states(basis, rec.states[mask])
+            estimate = float(np.trapezoid(values, times) / (times[-1] - times[0]))
+            batches = values[:(len(values) // 20) * 20].reshape(20, -1).mean(axis=1)
+            se = float(batches.std(ddof=1) / math.sqrt(20))
+            rep = time_average(rec, obs, burn_in=burn_in)
+            assert (rep.estimate, rep.standard_error, rep.sample_count) == \
+                (estimate, se, len(values))
+
 
 class TestClt:
     def test_ks_calibration_on_synthetic_normals(self):

@@ -23,6 +23,7 @@ from torusmhd.lattice import (
     pairing_coefficient,
     perp_dot,
     project_onto_mode,
+    project_onto_modes,
     spectral_divergence,
 )
 
@@ -145,6 +146,33 @@ class TestProjection:
         f = np.zeros((2, 9, 9))
         with pytest.raises(ValueError):
             project_onto_mode(f, (1, 0), COS)
+
+    @pytest.mark.parametrize("m", [8, 12, 20, 28])
+    def test_dft_read_off_is_the_rectangle_rule(self, m):
+        # any grid values, not just trigonometric ones: the read-off is the
+        # explicit sum over the grid of f . e_hat(q, parity) (2 pi / m)^2
+        rng = np.random.default_rng(m)
+        values = rng.standard_normal((3, 2, m, m))
+        r = m // 4
+        qs = [(a, b) for a in range(0, r + 1) for b in range(-r, r + 1)
+              if (a > 0 or b > 0)]
+        got = project_onto_modes(values, qs)
+        assert got.shape == (3, len(qs), 2)
+        x1, x2 = grid_mesh(m)
+        weight = (2.0 * math.pi / m) ** 2
+        for i, q in enumerate(qs):
+            for p in (COS, SIN):
+                basis = field_values(q, p, x1, x2) / BASIS_NORM
+                want = (values * basis).sum(axis=(1, 2, 3)) * weight
+                scale = (np.abs(values * basis).sum(axis=(1, 2, 3)) * weight).max()
+                assert np.max(np.abs(got[:, i, p] - want)) <= 1e-13 * scale
+            assert project_onto_mode(values[0], q, SIN) == \
+                pytest.approx(got[0, i, SIN], abs=1e-15 * scale)
+
+    def test_batched_read_off_checks_every_wavevector(self):
+        values = np.zeros((4, 2, 8, 8))
+        with pytest.raises(ValueError, match="under-resolves"):
+            project_onto_modes(values, [(1, 0), (2, 1), (3, 0)])
 
 
 def test_norm_and_perp_are_exact_integers():

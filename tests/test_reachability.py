@@ -1,7 +1,9 @@
 """Generation recursion, window coverage, and derivation certificates."""
 
+import math
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from torusmhd.brackets import magnetic_direction, velocity_direction
 from torusmhd.reachability import (
@@ -30,6 +32,15 @@ class TestForcedSet:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             ForcedSet.from_wavevectors([])
+
+    def test_coordinates_beyond_exact_int64_rejected(self):
+        # the vectorized transition multiplies coordinates in int64
+        with pytest.raises(ValueError, match="below"):
+            ForcedSet.from_wavevectors([(2**30, 1)])
+        forced = ForcedSet.from_wavevectors([(2**30 - 1, 1)])
+        with pytest.raises(ValueError, match="below"):
+            next_generation({(2**31, 1)}, forced)
+        assert next_generation({(1, 0)}, forced) == {(2**30, 1), (2 - 2**30, -1)}
 
 
 class TestNextGeneration:
@@ -152,3 +163,98 @@ class TestGenerationTable:
             assert admissible(k, l)
             assert (k[0] + l[0], k[1] + l[1]) == v
             assert v in table.generations[gen]
+
+
+# ---------------------------------------------------------------------------
+# The vectorized transition against a brute-force set-based reference.
+# ---------------------------------------------------------------------------
+
+def _ref_step(prev, forced, wsq=None):
+    out = set()
+    for k in prev:
+        for l in forced.symmetrized:
+            v = (k[0] + l[0], k[1] + l[1])
+            if (k[1] * l[0] - k[0] * l[1] != 0
+                    and k[0] ** 2 + k[1] ** 2 != l[0] ** 2 + l[1] ** 2
+                    and v != (0, 0)
+                    and (wsq is None or v[0] ** 2 + v[1] ** 2 <= wsq)):
+                out.add(v)
+    return out
+
+
+def _ref_window(forced, radius, max_depth):
+    max_mod = max(a * a + b * b for a, b in forced.symmetrized) ** 0.5
+    return radius + min(math.ceil(2.0 * max_mod) * max_depth, 4 * radius)
+
+
+def _ref_hypothesis(forced, radius, max_depth):
+    wsq = _ref_window(forced, radius, max_depth) ** 2
+    target = {(a, b) for a in range(-radius, radius + 1) for b in range(-radius, radius + 1)
+              if 0 < a * a + b * b <= radius * radius}
+    unions = [set(forced.symmetrized) & target, set()]
+    current, depth_used = set(forced.symmetrized), 0
+    for n in range(1, max_depth + 1):
+        current, depth_used = _ref_step(current, forced, wsq), n
+        if not current:
+            break
+        unions[n % 2] |= current & target
+        if unions[0] >= target and unions[1] >= target:
+            break
+    return {"radius": radius, "even_covered": unions[0] >= target,
+            "odd_covered": unions[1] >= target,
+            "missing_even": sorted(list(v) for v in target - unions[0]),
+            "missing_odd": sorted(list(v) for v in target - unions[1]),
+            "depth_used": depth_used, "max_depth": max_depth,
+            "window_bound": _ref_window(forced, radius, max_depth)}
+
+
+small_forced = st.sets(st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(
+    lambda k: k != (0, 0)), min_size=1, max_size=4).map(ForcedSet.from_wavevectors)
+small_target = st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(lambda k: k != (0, 0))
+
+
+class TestTransitionAgainstReference:
+    @settings(max_examples=60, deadline=None)
+    @given(small_forced, st.integers(1, 6), st.integers(1, 8),
+           st.one_of(st.none(), st.integers(1, 6)))
+    def test_generations_and_coverage(self, forced, radius, max_depth, window):
+        wsq = None if window is None else window * window
+        gens = [set(forced.symmetrized)]
+        for _ in range(3):
+            gens.append(_ref_step(gens[-1], forced, wsq))
+            assert next_generation(gens[-2], forced, window_norm_sq=wsq) == gens[-1]
+
+        table = generation_table(forced, 3, window_bound=window)
+        assert table.generations == gens[:len(table.generations)]
+        assert len(table.generations) == 4 or not table.generations[-1]
+        assert set(table.parent) == set().union(*table.generations[1:])
+        for v, (k, l, n) in table.parent.items():
+            # the recorded derivation is admissible and from v's first generation
+            assert k in gens[n - 1] and l in forced.symmetrized
+            assert (k[0] + l[0], k[1] + l[1]) == v and admissible(k, l)
+            assert n == min(i for i in range(1, len(gens)) if v in gens[i])
+
+        assert check_hypothesis(forced, radius, max_depth).to_dict() == \
+            _ref_hypothesis(forced, radius, max_depth)
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_forced, small_target, st.sampled_from(["even", "odd"]),
+           st.integers(1, 6))
+    def test_certificates_replay_with_minimal_length(self, forced, target, parity,
+                                                     max_depth):
+        cert = generation_certificate(forced, target, parity, max_depth=max_depth)
+        radius = max(1, math.isqrt(target[0] ** 2 + target[1] ** 2) + 1)
+        window = _ref_window(forced, radius, max_depth)
+        assert cert.window_bound == window
+        want = 0 if parity == "even" else 1
+        gen, lengths = set(forced.symmetrized), [0] if target in forced.symmetrized else []
+        for n in range(1, max_depth + 1):
+            gen = _ref_step(gen, forced, window * window)
+            if target in gen:
+                lengths.append(n)
+        lengths = [n for n in lengths if n % 2 == want]
+        if not lengths:
+            assert cert.chain is None
+        else:
+            assert verify_chain(forced, cert)
+            assert cert.length() == lengths[0]
