@@ -102,7 +102,7 @@ class TrigVectorField:
 
 def field_from_terms(raw_terms) -> TrigVectorField:
     """Canonicalize wavevectors, merge duplicate (parity, k) keys, drop zeros."""
-    acc: dict[tuple[int, Vec], np.ndarray] = {}
+    acc: dict[tuple[int, Vec], tuple[float, float]] = {}
     for amp, parity, k in raw_terms:
         if k == (0, 0):
             if parity == SIN:
@@ -115,13 +115,13 @@ def field_from_terms(raw_terms) -> TrigVectorField:
             # cos(-q.x) = cos(q.x); sin(-q.x) = -sin(q.x)
             key = (parity, (-k[0], -k[1]))
             sign = -1.0 if parity == SIN else 1.0
-        vec = acc.setdefault(key, np.zeros(2))
-        vec += sign * np.asarray(amp, dtype=float)
+        a0, a1 = acc.get(key, (0.0, 0.0))
+        acc[key] = (a0 + sign * float(amp[0]), a1 + sign * float(amp[1]))
     terms = []
     for (parity, k), amp in sorted(acc.items()):
         if amp[0] == 0.0 and amp[1] == 0.0:
             continue
-        terms.append(TrigTerm((float(amp[0]), float(amp[1])), parity, k))
+        terms.append(TrigTerm(amp, parity, k))
     return TrigVectorField(tuple(terms))
 
 

@@ -244,12 +244,12 @@ def _tracked_modes(cfg: ExperimentConfig, basis: ModeBasis):
 def cmd_simulate(args) -> int:
     started = time.time()
     cfg = _load_config(args)
-    out = OutputDir.create(args.out)
     basis = ModeBasis(cfg.equation.n_cut, cfg.equation.grid)
     u0 = _state_from_spec(cfg.analysis.get("initial_state"), basis)
+    tracked = _tracked_modes(cfg, basis)
+    out = OutputDir.create(args.out)
     rec = simulate(u0, cfg.equation, cfg.noise, cfg.run.horizon, cfg.run.seed,
                    snapshot_stride=cfg.run.snapshot_stride)
-    tracked = _tracked_modes(cfg, basis)
     header = ["time", "total_energy"] + [m.label() for m, _ in tracked]
     energy = (rec.states**2).sum(axis=1)
     rows = [
@@ -271,7 +271,6 @@ def cmd_simulate(args) -> int:
 def cmd_malliavin(args) -> int:
     started = time.time()
     cfg = _load_config(args)
-    out = OutputDir.create(args.out)
     basis = ModeBasis(cfg.equation.n_cut, cfg.equation.grid)
     u0 = _state_from_spec(cfg.analysis.get("initial_state"), basis)
     analysis = cfg.analysis
@@ -280,6 +279,7 @@ def cmd_malliavin(args) -> int:
     n_paths = int(analysis.get("paths", 1))
     samples = int(analysis.get("cone_samples", 200))
     level = analysis.get("basis_level")
+    out = OutputDir.create(args.out)
 
     per_path = []
     spectra = []
@@ -331,11 +331,11 @@ def cmd_malliavin(args) -> int:
 def cmd_lln(args) -> int:
     started = time.time()
     cfg = _load_config(args)
-    out = OutputDir.create(args.out)
     basis = ModeBasis(cfg.equation.n_cut, cfg.equation.grid)
     u0 = _state_from_spec(cfg.analysis.get("initial_state"), basis)
     obs = _observable_from_spec(cfg.analysis.get("observable", {}), basis)
     burn_in = float(cfg.analysis.get("burn_in", 0.0))
+    out = OutputDir.create(args.out)
     rec = simulate(u0, cfg.equation, cfg.noise, cfg.run.horizon, cfg.run.seed,
                    snapshot_stride=cfg.run.snapshot_stride)
     report = time_average(rec, obs, burn_in=burn_in)
@@ -350,11 +350,11 @@ def cmd_lln(args) -> int:
 def cmd_clt(args) -> int:
     started = time.time()
     cfg = _load_config(args)
-    out = OutputDir.create(args.out)
     basis = ModeBasis(cfg.equation.n_cut, cfg.equation.grid)
     u0 = _state_from_spec(cfg.analysis.get("initial_state"), basis)
     obs = _observable_from_spec(cfg.analysis.get("observable", {}), basis)
     replicas = int(cfg.analysis.get("replicas", max(cfg.run.ensemble_size, 50)))
+    out = OutputDir.create(args.out)
     report = clt_sample(u0, cfg.equation, cfg.noise, obs, cfg.run.horizon,
                         replicas, cfg.run.seed,
                         pilot_horizon=cfg.analysis.get("pilot_horizon"),
@@ -373,7 +373,6 @@ def cmd_clt(args) -> int:
 def cmd_mix(args) -> int:
     started = time.time()
     cfg = _load_config(args)
-    out = OutputDir.create(args.out)
     basis = ModeBasis(cfg.equation.n_cut, cfg.equation.grid)
     u0_a = _state_from_spec(cfg.analysis.get("u0_a"), basis)
     u0_b = _state_from_spec(cfg.analysis.get("u0_b"), basis)
@@ -381,6 +380,7 @@ def cmd_mix(args) -> int:
         raise ConfigError(["mix requires distinct initial states u0_a and u0_b"])
     obs = _observable_from_spec(cfg.analysis.get("observable", {}), basis)
     replicas = int(cfg.analysis.get("replicas", max(cfg.run.ensemble_size, 100)))
+    out = OutputDir.create(args.out)
     report = mixing_decay_estimate(u0_a, u0_b, cfg.equation, cfg.noise, obs,
                                    cfg.run.horizon, replicas, cfg.run.seed,
                                    snapshot_stride=cfg.run.snapshot_stride,
@@ -399,11 +399,11 @@ def cmd_mix(args) -> int:
 def cmd_moment(args) -> int:
     started = time.time()
     cfg = _load_config(args)
-    out = OutputDir.create(args.out)
     basis = ModeBasis(cfg.equation.n_cut, cfg.equation.grid)
     u0 = _state_from_spec(cfg.analysis.get("initial_state"), basis)
     eta = float(cfg.analysis.get("eta", 0.01))
     n_traj = cfg.run.ensemble_size
+    out = OutputDir.create(args.out)
     probes = exp_moment_ensemble(u0, cfg.equation, cfg.noise, cfg.run.horizon, n_traj,
                                  cfg.run.seed, eta, snapshot_stride=cfg.run.snapshot_stride)
     times = probes[0].times

@@ -9,6 +9,7 @@ package.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -53,7 +54,25 @@ def _is_int(v) -> bool:  # bool subclasses int, yet true is not a count
 
 
 def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """A finite float, or an int that converts to one; NaN and infinity are no value."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def _check_finite(node, where: str, errors: list[str]) -> None:
+    """Report every NaN or infinite number inside a free-form section."""
+    if isinstance(node, float) and not math.isfinite(node):
+        errors.append(f"{where} must be a finite number (got {node})")
+    elif isinstance(node, dict):
+        for key, value in node.items():
+            _check_finite(value, f"{where}.{key}", errors)
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            _check_finite(value, f"{where}[{i}]", errors)
 
 
 def _check_keys(section: dict, allowed: set, where: str, errors: list[str]) -> None:
@@ -78,17 +97,17 @@ def validate_config(doc: dict) -> ExperimentConfig:
     n_cut = eq.get("n_cut")
     dt = eq.get("dt")
     if not _is_number(alpha):
-        errors.append("equation.alpha must be a number")
+        errors.append("equation.alpha must be a finite number")
     elif alpha <= 1:
-        errors.append(f"alpha must exceed 1 (got {alpha})")
+        errors.append(f"equation.alpha must exceed 1 (got {alpha})")
     if not _is_number(beta):
-        errors.append("equation.beta must be a number")
+        errors.append("equation.beta must be a finite number")
     elif beta <= 1:
-        errors.append(f"beta must exceed 1 (got {beta})")
+        errors.append(f"equation.beta must exceed 1 (got {beta})")
     if not _is_int(n_cut) or n_cut < 1:
         errors.append("equation.n_cut must be a positive integer")
     if not _is_number(dt) or dt <= 0:
-        errors.append("equation.dt must be a positive number")
+        errors.append("equation.dt must be a positive finite number")
     grid = eq.get("grid")
     if grid is not None and (not _is_int(grid) or grid % 2 or
                              (_is_int(n_cut) and grid < 3 * n_cut + 1)):
@@ -125,7 +144,7 @@ def validate_config(doc: dict) -> ExperimentConfig:
                 continue
             if (not isinstance(amps, list) or len(amps) != 2
                     or not all(_is_number(a) for a in amps)):
-                errors.append(f"{where}.amplitudes must be a pair of numbers")
+                errors.append(f"{where}.amplitudes must be a pair of finite numbers")
                 continue
             if any(a == 0 for a in amps):
                 errors.append(f"{where}: amplitudes must be non-zero")
@@ -147,9 +166,9 @@ def validate_config(doc: dict) -> ExperimentConfig:
     horizon = run_doc.get("T")
     seed = run_doc.get("seed")
     if not _is_number(horizon) or horizon <= 0:
-        errors.append("run.T must be a positive number")
-    if not _is_int(seed):
-        errors.append("run.seed must be present and an integer "
+        errors.append("run.T must be a positive finite number")
+    if not _is_int(seed) or seed < 0:
+        errors.append("run.seed must be present and a non-negative integer "
                       "(stochastic runs never default to wall-clock seeds)")
     stride = run_doc.get("snapshot_stride", 1)
     if not _is_int(stride) or stride < 1:
@@ -162,13 +181,17 @@ def validate_config(doc: dict) -> ExperimentConfig:
         errors.append("run.workers must be a positive integer")
     if _is_number(horizon) and _is_number(dt) and dt > 0 and horizon > 0:
         n = horizon / dt
-        if abs(n - round(n)) > 1e-9 * max(1.0, n):
+        if not math.isfinite(n) or abs(n - round(n)) > 1e-9 * max(1.0, n):
             errors.append(f"run.T={horizon} is not a whole number of steps of dt={dt}")
 
     analysis = doc.get("analysis", {})
     if not isinstance(analysis, dict):
         errors.append("'analysis' must be an object")
         analysis = {}
+    _check_finite(analysis, "analysis", errors)
+    paths = analysis.get("paths", 0)
+    if not _is_int(paths) or paths < 0:
+        errors.append("analysis.paths must be a non-negative integer")
 
     if errors:
         raise ConfigError(errors)

@@ -12,10 +12,15 @@ The quadratic advection term B(U, V) has two independent realizations:
                       B is one gather, multiply and ``bincount``, and the same
                       entries assemble the dense linearization whose
                       transpose is the adjoint;
-  * the grid route  - FFT products on a periodic grid with at least
-                      3*n_cut + 1 points per axis, which keeps the retained
-                      band free of aliased images of quadratic products (the
-                      2/3 rule with the boundary case excluded).
+  * the grid route  - the conservative (divergence) form div(u (x) v) of
+                      the advection, which holds because the advecting
+                      fields are divergence-free: one inverse real FFT builds
+                      the fields, their pointwise products take one forward
+                      real FFT, and the derivative and the Leray projection
+                      are weights on the retained modes.  The grid has at
+                      least 3*n_cut + 1 points per axis, which keeps the
+                      retained band free of aliased images of quadratic
+                      products (the 2/3 rule with the boundary case excluded).
 
 The simulator uses the table up to ``TRIAD_MAX_N_CUT`` and the FFT above it.
 
@@ -143,10 +148,19 @@ class ModeBasis:
         self.kvec = np.array(self.canon, dtype=int)
         self.ksq = np.array([norm_sq(k) for k in self.canon], dtype=float)
         self.dir0 = np.array([direction(k, COS) for k in self.canon])
-        m = self.grid
-        self._pos = (self.kvec[:, 0] % m, self.kvec[:, 1] % m)
-        self._neg = ((-self.kvec[:, 0]) % m, (-self.kvec[:, 1]) % m)
-        self._freq = np.fft.fftfreq(m, d=1.0 / m)
+        # flat index of each canonical k in an (m, m/2 + 1) half spectrum, and
+        # where synthesis puts each mode and, for k1 = 0, its conjugate at -k2
+        m, half = self.grid, self.grid // 2 + 1
+        k1, k2 = self.kvec[:, 0], self.kvec[:, 1]
+        self._pick = (k2 % m) * half + k1
+        edge = np.flatnonzero(k1 == 0)
+        self._put = np.concatenate([self._pick, (-k2[edge]) % m * half])
+        self._put_src = np.concatenate([np.arange(self.n_k), edge])
+        self._put_dir = self.dir0.T[:, self._put_src] / (2.0 * BASIS_NORM)
+        # rectangle-rule weights of the projection onto the unit directions,
+        # (c, n_k), and of i q_d dir0_c(q) for the divergence form, (2d + c, n_k)
+        self._proj = (2.0 * math.pi / m) ** 2 / BASIS_NORM * self.dir0.T
+        self._div = 1j * (self.kvec.T[:, None, :] * self._proj).reshape(4, -1)
         self._kindex = {k: j for j, k in enumerate(self.canon)}
 
     # -- indexing ----------------------------------------------------------
@@ -186,38 +200,27 @@ class ModeBasis:
         return np.concatenate([np.repeat(lam_v, 2), np.repeat(lam_b, 2)])
 
     # -- transforms ---------------------------------------------------------
+    #
+    # A physical field (..., 2, m, m) holds component c at x = 2 pi (j1, j2) / m
+    # in [..., c, j2, j1]: x1 runs along the last axis, the one that rfft2
+    # halves, so the canonical wavevectors (k1 >= 0) need no conjugate fold
+    # except on the k1 = 0 column.
 
     def synthesize(self, c_slot: np.ndarray) -> np.ndarray:
         """Slot coefficients (..., 2*n_k) -> physical field (..., 2, m, m)."""
-        c = np.asarray(c_slot)
-        m = self.grid
-        amp = (c[..., 0::2] + 1j * c[..., 1::2]) / (2.0 * BASIS_NORM)
-        hat = np.zeros(c.shape[:-1] + (2, m, m), dtype=complex)
-        vals = amp[..., None, :] * self.dir0.T  # (..., 2, n_k)
-        hat[..., :, self._pos[0], self._pos[1]] = vals
-        hat[..., :, self._neg[0], self._neg[1]] = np.conj(vals)
-        return np.real(np.fft.ifft2(hat)) * m * m
+        m, half = self.grid, self.grid // 2 + 1
+        # c_cos + i c_sin per canonical mode, then the edge-column conjugates
+        amp = np.ascontiguousarray(c_slot, dtype=float).view(complex)[..., self._put_src]
+        np.conjugate(amp[..., self.n_k:], out=amp[..., self.n_k:])
+        hat = np.zeros(amp.shape[:-1] + (2, m * half), dtype=complex)
+        hat[..., self._put] = amp[..., None, :] * self._put_dir
+        return np.fft.irfft2(hat.reshape(hat.shape[:-1] + (m, half)), s=(m, m),
+                             norm="forward")
 
-    def synthesize_with_gradient(self, c_slot: np.ndarray):
-        """Returns (field (..., 2, m, m), gradient (..., 2, 2, m, m)).
-
-        gradient[..., d, c, :, :] is the d-th partial derivative of
-        component c.  Field and both derivatives share one stacked inverse
-        transform; the per-call FFT overhead dominates at desk-scale grids.
-        """
-        c = np.asarray(c_slot)
-        m = self.grid
-        amp = (c[..., 0::2] + 1j * c[..., 1::2]) / (2.0 * BASIS_NORM)
-        hat = np.zeros(c.shape[:-1] + (2, m, m), dtype=complex)
-        vals = amp[..., None, :] * self.dir0.T
-        hat[..., :, self._pos[0], self._pos[1]] = vals
-        hat[..., :, self._neg[0], self._neg[1]] = np.conj(vals)
-        stacked = np.stack([hat, 1j * self._freq[:, None] * hat,
-                            1j * self._freq[None, :] * hat])
-        w = np.real(np.fft.ifft2(stacked)) * m * m
-        field_ = w[0]
-        grad = np.moveaxis(w[1:], 0, -4)
-        return field_, grad
+    def _retained(self, fields: np.ndarray) -> np.ndarray:
+        """Fourier sums of real fields (..., m, m) at the canonical modes, (..., n_k)."""
+        hat = np.fft.rfft2(fields)
+        return np.take(hat.reshape(hat.shape[:-2] + (-1,)), self._pick, -1)
 
     def gather(self, fields: np.ndarray) -> np.ndarray:
         """Physical field (..., 2, m, m) -> slot coefficients (..., 2*n_k).
@@ -225,16 +228,9 @@ class ModeBasis:
         Projecting onto the divergence-free unit directions performs the
         Leray projection and the spectral truncation in one stroke.
         """
-        m = self.grid
-        hat = np.fft.fft2(fields)
-        picked = hat[..., :, self._pos[0], self._pos[1]]  # (..., 2, n_k)
-        w = (2.0 * math.pi / m) ** 2 / BASIS_NORM
-        c0 = w * np.einsum("...cn,nc->...n", np.real(picked), self.dir0)
-        c1 = w * np.einsum("...cn,nc->...n", np.imag(picked), self.dir0)
-        out = np.empty(hat.shape[:-3] + (2 * self.n_k,))
-        out[..., 0::2] = c0
-        out[..., 1::2] = c1
-        return out
+        picked = self._retained(fields)  # (..., 2, n_k)
+        z = self._proj[0] * picked[..., 0, :] + self._proj[1] * picked[..., 1, :]
+        return z.view(float)  # (Re, Im) pairs are the (cos, sin) coefficients
 
 
 @dataclass
@@ -336,15 +332,32 @@ EMPTY_NOISE = NoiseSpec(entries=(), z0=frozenset())
 # ---------------------------------------------------------------------------
 
 def bilinear_transform(basis: ModeBasis, cu: np.ndarray, cv: np.ndarray) -> np.ndarray:
-    """B(U, V) by grid transform: advecting fields from U, advected from V."""
-    w = 2 * basis.n_k
-    slots = lambda c: np.stack([c[..., :w], c[..., w:]])  # (velocity, magnetic)
-    f = basis.synthesize(slots(np.asarray(cu)))
-    _, g = basis.synthesize_with_gradient(slots(np.asarray(cv)))
-    adv = lambda wfld, grd: np.einsum("...dmn,...dcmn->...cmn", wfld, grd)
-    rows = basis.gather(np.stack([adv(f[0], g[0]) - adv(f[1], g[1]),
-                                  adv(f[0], g[1]) - adv(f[1], g[0])]))
-    return np.concatenate([rows[0], rows[1]], axis=-1)
+    """B(U, V) by grid transform in divergence form: advecting fields from U.
+
+    The advecting fields are divergence-free, so (u . grad) v = div(u (x) v):
+    with U = (u, b) and V = (u', b'), the velocity row is the Leray
+    projection of div T and the magnetic row that of div S, where
+
+        T_dc = u_d u'_c - b_d b'_c,    S_dc = u_d b'_c - b_d u'_c.
+
+    One inverse real transform builds the fields of U and V (only U's when
+    ``cv is cu``), one forward real transform takes the eight products, and
+    on the retained modes the derivative and the projection are the weights
+    i q_d dir0_c(q).  Broadcasts over the leading axes of both arguments.
+    """
+    n = 2 * basis.n_k
+    slots = lambda c: c.reshape(c.shape[:-1] + (2, n))  # (velocity, magnetic)
+    if cv is cu:
+        f = g = basis.synthesize(slots(np.asarray(cu)))
+    else:
+        f, g = basis.synthesize(slots(np.stack(np.broadcast_arrays(cu, cv))))
+    # (..., s', d, c, m, m): u_d against (u', b')_c minus b_d against (b', u')_c
+    flux = f[..., 0, None, :, None, :, :] * g[..., :, None, :, :, :]
+    flux -= f[..., 1, None, :, None, :, :] * g[..., ::-1, None, :, :, :]
+    hat = basis._retained(flux.reshape(flux.shape[:-5] + (2, 4) + flux.shape[-2:]))
+    # term by term, so that a batched row adds in the order of a lone state
+    z = sum(basis._div[j] * hat[..., j, :] for j in range(4))  # (..., 2, n_k)
+    return z.view(float).reshape(z.shape[:-2] + (2 * n,))
 
 
 @lru_cache(maxsize=200_000)
@@ -356,9 +369,12 @@ def _pair_projection(k: Vec, m: int, l: Vec, m2: int) -> tuple:
 
 #: Largest n_cut at which the simulator takes B from the triad table.  Its
 #: work grows like n_cut^4, the FFT's like n_cut^2 log n_cut plus a fixed
-#: per-call overhead.  Per call on a 2-vCPU x86 VM, table against FFT: 0.07
-#: against 0.45 ms at n_cut=4, 0.72 against 0.87 ms at 8, 1.34 against 0.75 ms at 9.
-TRIAD_MAX_N_CUT = 8
+#: per-call overhead.  Per state on a 2-vCPU x86 VM, table against FFT: a
+#: lone state 65 against 140 us at n_cut=4 and 95-135 against 92-159 us at 5;
+#: a row of a 120-row batch 41-115 against 37-75 us at 4 and 232-297 against
+#: 35-54 us at 5.  The route depends on n_cut only, so that a batched row
+#: equals the lone state bit for bit.
+TRIAD_MAX_N_CUT = 4
 
 
 def _scatter_add(index: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:

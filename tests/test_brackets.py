@@ -136,6 +136,48 @@ class TestReduction:
         assert a.terms == b.terms
 
 
+    def test_float_pair_accumulation_matches_numpy_reference(self, monkeypatch):
+        # field_from_terms sums in Python floats; a numpy 2-vector accumulator
+        # does the same IEEE operations, so sweep reports and triad entries
+        # must come out identical bit for bit
+        from torusmhd import brackets, galerkin
+
+        calls = []
+
+        def numpy_reference(raw_terms):
+            calls.append(1)
+            acc = {}
+            for amp, parity, k in raw_terms:
+                if k == (0, 0):
+                    if parity == SIN:
+                        continue
+                    key, sign = (COS, (0, 0)), 1.0
+                elif k[0] > 0 or (k[0] == 0 and k[1] > 0):
+                    key, sign = (parity, k), 1.0
+                else:
+                    key = (parity, (-k[0], -k[1]))
+                    sign = -1.0 if parity == SIN else 1.0
+                vec = acc.setdefault(key, np.zeros(2))
+                vec += sign * np.asarray(amp, dtype=float)
+            return brackets.TrigVectorField(tuple(
+                TrigTerm((float(a[0]), float(a[1])), parity, k)
+                for (parity, k), a in sorted(acc.items()) if a[0] != 0.0 or a[1] != 0.0))
+
+        def build():
+            galerkin._pair_projection.cache_clear()
+            table = galerkin.TriadTable(4)
+            sweep = [r.to_dict() for r in verification_sweep(2)]
+            return (table.a, table.b, table.out, table.coeff), repr(sweep)
+
+        got = build()
+        monkeypatch.setattr(brackets, "field_from_terms", numpy_reference)
+        want = build()
+        galerkin._pair_projection.cache_clear()
+        assert len(calls) > 1000
+        assert all(np.array_equal(g, w) for g, w in zip(got[0], want[0]))
+        assert got[1] == want[1]
+
+
 class TestLerayProject:
     def test_identity_on_basis_field(self):
         f = field_from_terms([TrigTerm(tuple(

@@ -1,10 +1,15 @@
 """Configuration validation and end-to-end CLI artifact checks."""
 
+import contextlib
+import io
 import json
+import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from torusmhd import cli
 from torusmhd.cli import main
@@ -318,3 +323,80 @@ class TestCli:
                      "--set", "run.T=0.02"]) == 0
         summary = json.loads((out / "run_summary.json").read_text())
         assert summary["final_time"] == pytest.approx(0.02)
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+WRONG_TYPE = ["two", [1], {"a": 1}, True, None]
+
+#: Values that break each field whatever else is broken with it.
+MALFORMED = {
+    "equation.alpha": NON_FINITE + WRONG_TYPE + [0.5, -2, 10**400],
+    "equation.beta": NON_FINITE + WRONG_TYPE + [1.0],
+    "equation.dt": NON_FINITE + WRONG_TYPE + [0, -1e-3],
+    "equation.n_cut": NON_FINITE + WRONG_TYPE + [0, -3, 2.5],
+    "equation.grid": NON_FINITE + ["two", [1], True, 7, 12.0],
+    "equation.nonlinearity_enabled": [math.nan, "yes", 1, None, [True]],
+    "run.T": NON_FINITE + WRONG_TYPE + [0, -1, 10**400],
+    "run.seed": NON_FINITE + WRONG_TYPE + [-3, 2.5],
+    "run.snapshot_stride": NON_FINITE + WRONG_TYPE + [0, 1.5],
+    "run.ensemble_size": NON_FINITE + WRONG_TYPE + [0, -1],
+    "run.workers": NON_FINITE + WRONG_TYPE + [0],
+    "analysis.paths": NON_FINITE + WRONG_TYPE + [-1, 1.5],
+    "analysis.eta": NON_FINITE,
+    "noise.z0[0].amplitudes": [[v, 1.0] for v in NON_FINITE + ["x", None, True]],
+}
+
+
+@st.composite
+def malformed_runs(draw):
+    fields = draw(st.lists(st.sampled_from(sorted(MALFORMED)), min_size=1, max_size=3,
+                           unique=True))
+    return (draw(st.sampled_from(["simulate", "malliavin"])),
+            [(f, draw(st.sampled_from(MALFORMED[f])),
+              not f.startswith("noise") and draw(st.booleans())) for f in fields])
+
+
+class TestMalformedConfigContract:
+    @given(malformed_runs())
+    def test_malformed_config_exits_2_and_writes_nothing(self, run):
+        command, mutations = run
+        doc = small_config(horizon=0.01)
+        doc["analysis"] = {"paths": 1, "eta": 0.05}
+        overrides = []
+        for field, value, by_flag in mutations:
+            if by_flag:
+                overrides += ["--set", f"{field}={json.dumps(value)}"]
+            elif field.startswith("noise"):
+                doc["noise"]["z0"][0]["amplitudes"] = value
+            else:
+                section, key = field.split(".")
+                doc[section][key] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "out"
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main([command, "--config", write_config(Path(tmp), doc),
+                             "--out", str(out)] + overrides)
+            assert code == 2, err.getvalue()
+            violations = json.loads(err.getvalue())["violations"]
+            for field, _, _ in mutations:
+                assert any(field in v for v in violations), (field, violations)
+            assert not out.exists()
+
+    @pytest.mark.parametrize("override", [
+        "equation.dt=NaN", "run.T=Infinity", "run.seed=-3", "analysis.paths=\"two\""])
+    def test_example_config_probes_exit_2(self, tmp_path, capsys, override):
+        example = Path(__file__).resolve().parents[1] / "config.example.json"
+        out = tmp_path / "out"
+        code = main(["malliavin", "--config", str(example), "--out", str(out),
+                     "--set", override])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["violations"]
+        assert not out.exists()
+
+    def test_negative_seed_flag_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, small_config())
+        code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "x"),
+                     "--seed", "-3"])
+        assert code == 2
+        assert any("run.seed" in v for v in json.loads(capsys.readouterr().err)["violations"])

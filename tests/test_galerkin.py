@@ -73,6 +73,16 @@ class TestBasis:
         quad = np.sum(w**2) * (2 * math.pi / basis.grid) ** 2
         assert quad == pytest.approx(float(c @ c), rel=1e-12)
 
+    def test_roundtrip_and_parseval_on_a_larger_grid(self):
+        basis = ModeBasis(4, grid=20)
+        rng = np.random.default_rng(6)
+        c = rng.standard_normal((3, 2 * basis.n_k))
+        w = basis.synthesize(c)
+        assert w.shape == (3, 2, 20, 20)
+        assert np.max(np.abs(basis.gather(w) - c)) < 1e-13
+        quad = np.sum(w**2, axis=(-3, -2, -1)) * (2 * math.pi / basis.grid) ** 2
+        assert quad == pytest.approx((c * c).sum(-1), rel=1e-12)
+
 
 class TestDissipation:
     def test_hand_values(self):
@@ -125,6 +135,38 @@ class TestBilinear:
             got = bilinear_B(basis, cu, cv)
             assert np.array_equal(got, route(basis, cu, cv))
             assert np.max(np.abs(got - bilinear_transform(basis, cu, cv))) < 1e-10
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_edge_supported_states_match_triads(self, axis):
+        # k1 = 0 modes sit on the edge column of the half spectrum, whose
+        # conjugates the grid route stores explicitly; k2 = 0 modes sit on
+        # its edge row
+        basis = ModeBasis(5)
+        rng = np.random.default_rng(11 + axis)
+        edge = np.repeat(basis.kvec[:, axis] == 0, 2)
+        cu = np.where(np.concatenate([edge, edge]), rng.standard_normal(basis.dim), 0.0)
+        cv = rng.standard_normal(basis.dim)
+        for a, b in ((cu, cv), (cv, cu), (cu, cu)):
+            want = bilinear_convolution(basis, a, b)
+            assert np.max(np.abs(bilinear_transform(basis, a, b) - want)) < 1e-12
+        assert np.max(np.abs(bilinear_convolution(basis, cu, cv))) > 0.1
+
+    def test_shared_fields_change_no_bit(self):
+        # with cv is cu the fields of V are not built again
+        basis = ModeBasis(9)
+        c = np.random.default_rng(7).standard_normal(basis.dim)
+        assert np.array_equal(bilinear_transform(basis, c, c),
+                              bilinear_transform(basis, c, c.copy()))
+
+    @pytest.mark.parametrize("n_cut", [9, 12])
+    def test_grid_route_batched_rows_equal_lone_calls(self, n_cut):
+        basis = ModeBasis(n_cut)
+        rng = np.random.default_rng(n_cut)
+        cu, cv = rng.standard_normal((2, 5, basis.dim))
+        for a, b in ((cu, cu), (cu, cv)):
+            batch = bilinear_transform(basis, a, b)
+            for row in range(5):
+                assert np.array_equal(batch[row], bilinear_transform(basis, a[row], b[row]))
 
     def test_linear_regime_never_builds_triads(self):
         basis = ModeBasis(5)
