@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, ExperimentConfig, parse_config
+from .config import SLOTS, ConfigError, ExperimentConfig, parse_config
 from .brackets import verification_sweep
 from .diagnostics import (
     Observable,
@@ -36,13 +36,13 @@ from .galerkin import (
     SimulationError,
     SpectralState,
     simulate,
+    unit_mode_state,
     zero_state,
 )
-from .lattice import COS, MAGNETIC, VELOCITY, make_mode
+from .lattice import COS, MAGNETIC, make_mode
 from .malliavin import (
     ConeSpec,
     FrozenPath,
-    adjoint_profile,
     assemble_malliavin,
     cone_infimum,
 )
@@ -124,7 +124,7 @@ def _observable_from_spec(spec: dict, basis: ModeBasis) -> Observable:
     kind = spec.get("kind", "mode_coefficient")
     if kind == "total_energy":
         return Observable(kind="total_energy")
-    slot = {"velocity": VELOCITY, "magnetic": MAGNETIC}[spec.get("slot", "magnetic")]
+    slot = SLOTS[spec.get("slot", "magnetic")]
     k = tuple(spec["k"])
     parity = int(spec.get("parity", COS))
     mode = make_mode(slot, k, parity)
@@ -135,7 +135,7 @@ def _observable_from_spec(spec: dict, basis: ModeBasis) -> Observable:
 def _state_from_spec(entries, basis: ModeBasis) -> SpectralState:
     state = zero_state(basis)
     for entry in entries or []:
-        slot = {"velocity": VELOCITY, "magnetic": MAGNETIC}[entry.get("slot", "magnetic")]
+        slot = SLOTS[entry.get("slot", "magnetic")]
         mode = make_mode(slot, tuple(entry["k"]), int(entry.get("parity", COS)))
         state.coeffs[basis.mode_index(mode)] = float(entry.get("amplitude", 1.0))
     return state
@@ -236,7 +236,7 @@ def _tracked_modes(cfg: ExperimentConfig, basis: ModeBasis):
     else:
         modes = []
         for spec in specs:
-            slot = {"velocity": VELOCITY, "magnetic": MAGNETIC}[spec.get("slot", "magnetic")]
+            slot = SLOTS[spec.get("slot", "magnetic")]
             modes.append(make_mode(slot, tuple(spec["k"]), int(spec.get("parity", COS))))
     return [(m, basis.mode_index(m)) for m in modes]
 
@@ -275,25 +275,33 @@ def cmd_malliavin(args) -> int:
     u0 = _state_from_spec(cfg.analysis.get("initial_state"), basis)
     analysis = cfg.analysis
     cone = ConeSpec(alpha=float(analysis.get("cone_alpha", 0.5)),
-                    n=int(analysis.get("cone_n", 1)))
-    n_paths = int(analysis.get("paths", 1))
-    samples = int(analysis.get("cone_samples", 200))
+                    n=analysis.get("cone_n", 1))
+    n_paths = analysis.get("paths", 1)
+    samples = analysis.get("cone_samples", 200)
     level = analysis.get("basis_level")
+    profile_modes = [make_mode(SLOTS[spec.get("slot", "magnetic")], tuple(spec["k"]),
+                               spec.get("parity", COS))
+                     for spec in analysis.get("profile_modes", [])]
+    probes = None
+    if profile_modes:
+        probes = np.array([unit_mode_state(basis, m).coeffs for m in profile_modes])
     out = OutputDir.create(args.out)
 
     per_path = []
     spectra = []
-    diag = first = None
+    diag = profiles = None
     for p in range(n_paths):
         rec = simulate(u0, cfg.equation, cfg.noise, cfg.run.horizon,
                        trajectory_seed(cfg.run.seed, p), snapshot_stride=1)
-        path = FrozenPath(rec)
-        mat = assemble_malliavin(path, cfg.noise, n_level=level)
+        # path 0 carries the profile probes through the same backward sweep
+        mat = assemble_malliavin(FrozenPath(rec), cfg.noise, n_level=level,
+                                 probes=probes if p == 0 else None)
         report = cone_infimum(mat, cone, samples=samples, seed=cone_seed(cfg.run.seed, p))
         eigs = mat.eigenvalues()
         spectra.append(eigs.tolist())
         if p == 0:
-            first = path
+            times = rec.times
+            profiles = mat.probe_profiles
             diag = {m.label(): float(v) for m, v in zip(mat.modes, np.diag(mat.gram))}
         per_path.append(report.to_dict())
     out.write_json("malliavin_report.json", {
@@ -304,24 +312,14 @@ def cmd_malliavin(args) -> int:
         "diagonal_first_path": diag,
     })
 
-    profile_specs = analysis.get("profile_modes", [])
-    if profile_specs and first is not None:
-        rec = first.record
-        idx = cfg.noise.mode_indices(basis)
+    if profiles is not None:
         header = ["time"]
-        cols = []
-        for spec in profile_specs:
-            slot = {"velocity": VELOCITY, "magnetic": MAGNETIC}[spec.get("slot", "magnetic")]
-            mode = make_mode(slot, tuple(spec["k"]), int(spec.get("parity", COS)))
-            phi = np.zeros(basis.dim)
-            phi[basis.mode_index(mode)] = 1.0
-            levels = adjoint_profile(first, phi, float(rec.times[0]), float(rec.times[-1]))
-            for e, entry in enumerate(cfg.noise.entries):
+        for mode in profile_modes:
+            for entry in cfg.noise.entries:
                 header.append(f"<sigma[{entry.k[0]},{entry.k[1]}]^{entry.parity},"
                               f"K {mode.label()}>")
-                cols.append(levels[:, idx[e]])
-        rows = [[float(rec.times[i])] + [float(c[i]) for c in cols]
-                for i in range(len(rec.times))]
+        flat = profiles.reshape(len(times), -1)  # probe-major, forced entry minor
+        rows = [[float(t)] + [float(v) for v in flat[i]] for i, t in enumerate(times)]
         out.write_csv("response_profiles.csv", header, rows)
 
     out.finalize(cfg.raw, started)

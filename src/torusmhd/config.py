@@ -14,7 +14,10 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from .galerkin import EquationParams, NoiseSpec
-from .lattice import norm_sq
+from .lattice import COS, MAGNETIC, SIN, VELOCITY, is_canonical, norm_sq
+
+#: The slot names that mode entries of the ``analysis`` section may use.
+SLOTS = {"velocity": VELOCITY, "magnetic": MAGNETIC}
 
 
 class ConfigError(ValueError):
@@ -79,6 +82,44 @@ def _check_keys(section: dict, allowed: set, where: str, errors: list[str]) -> N
     for key in section:
         if key not in allowed:
             errors.append(f"unknown key {key!r} in {where}")
+
+
+def _check_mode_entry(entry, n_cut: Optional[int], where: str, errors: list[str]) -> None:
+    """A mode object {slot, k, parity} whose k is canonical and inside the truncation."""
+    if not isinstance(entry, dict):
+        errors.append(f"{where} must be an object")
+        return
+    _check_keys(entry, {"slot", "k", "parity"}, where, errors)
+    if entry.get("slot", "magnetic") not in SLOTS:
+        errors.append(f"{where}.slot must be one of {sorted(SLOTS)}")
+    parity = entry.get("parity", COS)
+    if not _is_int(parity) or parity not in (COS, SIN):
+        errors.append(f"{where}.parity must be {COS} (cos) or {SIN} (sin)")
+    k = entry.get("k")
+    if not isinstance(k, list) or len(k) != 2 or not all(_is_int(v) for v in k):
+        errors.append(f"{where}.k must be a pair of integers")
+    elif not is_canonical(k) or (n_cut is not None and norm_sq(k) > n_cut * n_cut):
+        errors.append(f"{where}.k={k} must be a canonical wavevector (k1 > 0, or "
+                      f"k1 = 0 and k2 > 0) inside the truncation n_cut={n_cut}")
+
+
+def _check_malliavin_analysis(analysis: dict, n_cut: Optional[int],
+                              errors: list[str]) -> None:
+    """The cone, sampling, basis-level and profile entries of the Malliavin probe."""
+    alpha = analysis.get("cone_alpha", 0.5)
+    if not _is_number(alpha) or not 0 < alpha <= 1:
+        errors.append(f"analysis.cone_alpha must be a number in (0, 1] (got {alpha!r})")
+    for key, least, default in (("cone_n", 1, 1), ("cone_samples", 0, 200),
+                                ("basis_level", 1, None)):
+        value = analysis.get(key, default)
+        if value is not None and (not _is_int(value) or value < least):
+            errors.append(f"analysis.{key} must be an integer >= {least} (got {value!r})")
+    specs = analysis.get("profile_modes", [])
+    if not isinstance(specs, list):
+        errors.append("analysis.profile_modes must be a list of mode objects")
+        return
+    for i, entry in enumerate(specs):
+        _check_mode_entry(entry, n_cut, f"analysis.profile_modes[{i}]", errors)
 
 
 def validate_config(doc: dict) -> ExperimentConfig:
@@ -192,6 +233,7 @@ def validate_config(doc: dict) -> ExperimentConfig:
     paths = analysis.get("paths", 0)
     if not _is_int(paths) or paths < 0:
         errors.append("analysis.paths must be a non-negative integer")
+    _check_malliavin_analysis(analysis, n_cut if _is_int(n_cut) else None, errors)
 
     if errors:
         raise ConfigError(errors)

@@ -424,9 +424,16 @@ class TriadTable:
                  (o, w + b, w + a, -1.0), (o, w + a, w + b, -1.0),
                  (w + o, w + b, a, 1.0), (w + o, a, w + b, 1.0),
                  (w + o, b, w + a, -1.0), (w + o, w + a, b, -1.0))
-        self._jac_cell = np.concatenate([row * 2 * w + col for row, col, _, _ in terms])
-        self._jac_state = np.concatenate([state for _, _, state, _ in terms])
-        self._jac_coeff = np.concatenate([sign * self.coeff for _, _, _, sign in terms])
+        dim = 2 * w
+        cell = np.concatenate([row * dim + col for row, col, _, _ in terms])
+        state = np.concatenate([u for _, _, u, _ in terms])
+        coeff = np.concatenate([sign * self.coeff for _, _, _, sign in terms])
+        # the triads (a, b) and (b, a) land on the same (cell, state) pair:
+        # merge them, sorted by cell, so L_ij = sum jac_coeff * U[jac_state]
+        # over the entries with jac_cell = i * dim + j
+        keys, inverse = np.unique(cell * dim + state, return_inverse=True)
+        self.jac_cell, self.jac_state = np.divmod(keys, dim)
+        self.jac_coeff = np.bincount(inverse.ravel(), coeff, len(keys))
 
     def apply(self, cu: np.ndarray, cv: np.ndarray) -> np.ndarray:
         """B(U, V), broadcast over the leading axes of both arguments."""
@@ -440,8 +447,8 @@ class TriadTable:
     def jacobian(self, cu: np.ndarray) -> np.ndarray:
         """Dense L with L x = B(U, x) + B(x, U) for a single state U."""
         dim = 2 * self.width
-        weights = self._jac_coeff * np.take(cu, self._jac_state)
-        return np.bincount(self._jac_cell, weights, dim * dim).reshape(dim, dim)
+        weights = self.jac_coeff * np.take(cu, self.jac_state)
+        return np.bincount(self.jac_cell, weights, dim * dim).reshape(dim, dim)
 
 
 @lru_cache(maxsize=None)

@@ -2,31 +2,34 @@
 
 The forward tangent flow linearizes the one-step map of the nonlinear solver
 exactly: with E the diagonal integrating factor and L_n the linearized
-advection at the frozen state U_n, L_n x = B(U_n, x) + B(x, U_n),
+advection at the frozen state U_n, L_n x = B(U_n, x) + B(x, U_n), both flows
+step with the one matrix A_n = E (I - dt L_n),
 
-    tangent:  xi   -> E (xi - dt L_n xi)
-    adjoint:  rho  -> (I - dt L_n^T) (E rho).
+    tangent:  xi   -> A_n xi
+    adjoint:  rho  -> A_n^T rho.
 
-L_n is assembled as a dense matrix from the triad table of the truncation
-(:class:`~torusmhd.galerkin.TriadTable`), and the adjoint multiplies by the
-transpose of that same matrix, so the backward flow is the exact transpose
-of the forward one by construction and the duality
-<J xi, phi> = <xi, K phi> holds to floating-point precision, not just to
-discretization order.  The second variation takes its quadratic source from
-the same table.
+A_n is assembled densely from the merged triad-Jacobian entries of the
+truncation (:class:`~torusmhd.galerkin.TriadTable`), pre-scaled once per path,
+and the adjoint multiplies by the transpose of that same matrix, so the
+backward flow is the exact transpose of the forward one by construction and
+the duality <J xi, phi> = <xi, K phi> holds to floating-point precision, not
+just to discretization order.  The second variation takes its quadratic
+source from the same table.
 
-The response Gram matrix over a low-mode block is accumulated from one
-backward solve per basis vector,
+The response Gram matrix over a low-mode block,
 
     G[i, j] = sum_entries amp^2 * int_0^T <forced mode, K_{r,T} phi_i>
                                           <forced mode, K_{r,T} phi_j> dr,
 
-with trapezoid quadrature on the solver grid, and is therefore symmetric
-positive semidefinite by construction.  Spectral probes report three honest
-quantities for the cone of states holding at least an alpha fraction of their
-norm in the low-mode block: the compressed minimal eigenvalue, a sampled
-infimum over the cone, and a weak-duality lower bound; the exact constrained
-minimum is a nonconvex problem we deliberately do not claim to solve.
+comes from one streamed backward sweep that carries every basis vector phi_i
+of the block at once and adds each level's trapezoid-weighted forced
+components into G as it goes, so no level is stored and the memory does not
+grow with the number of steps.  G is symmetric positive semidefinite by
+construction.  Spectral probes report three honest quantities for the cone
+of states holding at least an alpha fraction of their norm in the low-mode
+block: the compressed minimal eigenvalue, a sampled infimum over the cone,
+and a weak-duality lower bound; the exact constrained minimum is a nonconvex
+problem we deliberately do not claim to solve.
 """
 
 from __future__ import annotations
@@ -65,6 +68,13 @@ class FrozenPath:
         self.states: np.ndarray = record.states
         lam = self.basis.dissipation_array(self.params)
         self.decay = np.exp(-lam * self.dt)
+        if self.params.nonlinearity_enabled:
+            # entries of A_n - E: the triad-Jacobian coefficients scaled by
+            # -dt times the decay of their row, once for the whole path
+            table = triad_table(self.basis.n_cut)
+            self._cell, self._state = table.jac_cell, table.jac_state
+            row_decay = self.decay[table.jac_cell // self.basis.dim]
+            self._weight = -self.dt * row_decay * table.jac_coeff
 
     def index_of(self, t: float) -> int:
         rel = (t - float(self.record.times[0])) / self.dt
@@ -79,15 +89,32 @@ class FrozenPath:
             return np.zeros((self.basis.dim, self.basis.dim))
         return triad_table(self.basis.n_cut).jacobian(self.states[n])
 
+    def step_matrix(self, n: int) -> np.ndarray:
+        """A_n = E (I - dt L_n), the one-step map of both flows at step n.
 
-# One step of each flow; xi and rho are single vectors or batches of rows.
-def _tangent_step(path: FrozenPath, jac: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    return path.decay * (xi - path.dt * xi @ jac.T)
+        The tangent step is xi -> A_n xi and the adjoint step rho -> A_n^T rho.
+        """
+        if not self.params.nonlinearity_enabled:
+            return np.diag(self.decay)
+        dim = self.basis.dim
+        weights = self._weight * np.take(self.states[n], self._state)
+        a = np.bincount(self._cell, weights, dim * dim).reshape(dim, dim)
+        a.flat[::dim + 1] += self.decay
+        return a
 
 
-def _adjoint_step(path: FrozenPath, jac: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    rho = path.decay * rho
-    return rho - path.dt * rho @ jac
+def _backward_sweep(path: FrozenPath, phi: np.ndarray, i: int, j: int):
+    """Yield (n, K_{n,j} phi) for n = j, j - 1, ..., i, one adjoint step apart.
+
+    ``phi`` is a single vector (dim,) or a batch of rows (ncols, dim).  The
+    first level is ``phi`` itself and every later one a fresh array, so only
+    the level in hand is held.
+    """
+    rho = phi
+    yield j, rho
+    for n in range(j - 1, i - 1, -1):
+        rho = rho @ path.step_matrix(n)
+        yield n, rho
 
 
 def jacobian_apply(path: FrozenPath, xi: SpectralState, s: float, t: float) -> SpectralState:
@@ -97,7 +124,7 @@ def jacobian_apply(path: FrozenPath, xi: SpectralState, s: float, t: float) -> S
         raise ValueError("need s <= t")
     v = xi.coeffs.copy()
     for n in range(i, j):
-        v = _tangent_step(path, path.jacobian(n), v)
+        v = v @ path.step_matrix(n).T
     return SpectralState(path.basis, v, t)
 
 
@@ -106,9 +133,8 @@ def adjoint_apply(path: FrozenPath, phi: SpectralState, r: float, t: float) -> S
     i, j = path.index_of(r), path.index_of(t)
     if i > j:
         raise ValueError("need r <= t")
-    v = phi.coeffs.copy()
-    for n in range(j - 1, i - 1, -1):
-        v = _adjoint_step(path, path.jacobian(n), v)
+    for _, v in _backward_sweep(path, phi.coeffs.copy(), i, j):
+        pass
     return SpectralState(path.basis, v, r)
 
 
@@ -127,13 +153,13 @@ def second_variation_apply(path: FrozenPath, xi: SpectralState, xi2: SpectralSta
     a, b = xi.coeffs.copy(), xi2.coeffs.copy()
     rho = np.zeros(basis.dim)
     for n in range(i, j):
-        jac = path.jacobian(n)
+        step = path.step_matrix(n).T
         src = np.zeros(basis.dim)
         if path.params.nonlinearity_enabled:
             src = bilinear_convolution(basis, a, b) + bilinear_convolution(basis, b, a)
-        rho = _tangent_step(path, jac, rho) - path.dt * path.decay * src
-        a = _tangent_step(path, jac, a)
-        b = _tangent_step(path, jac, b)
+        rho = rho @ step - path.dt * path.decay * src
+        a = a @ step
+        b = b @ step
     return SpectralState(basis, rho, t)
 
 
@@ -147,10 +173,7 @@ def adjoint_profile(path: FrozenPath, phi: np.ndarray, r: float, t: float) -> np
     if i > j:
         raise ValueError("need r <= t")
     levels = np.empty((j - i + 1,) + phi.shape)
-    levels[j - i] = phi
-    v = phi.copy()
-    for n in range(j - 1, i - 1, -1):
-        v = _adjoint_step(path, path.jacobian(n), v)
+    for n, v in _backward_sweep(path, phi, i, j):
         levels[n - i] = v
     return levels
 
@@ -161,13 +184,19 @@ def adjoint_profile(path: FrozenPath, phi: np.ndarray, r: float, t: float) -> np
 
 @dataclass
 class MalliavinMatrix:
-    """Response Gram matrix over a low-mode block of the truncation basis."""
+    """Response Gram matrix over a low-mode block of the truncation basis.
+
+    ``probe_profiles`` holds the forced components <forced mode, K_{s,T} phi>
+    of the probe rows phi at every grid time s, shape (n + 1, n_probes, d),
+    when probes were swept along; otherwise None.
+    """
 
     gram: np.ndarray
     modes: list[Mode]
     mode_indices: np.ndarray
     horizon: float
     quadrature_steps: int
+    probe_profiles: Optional[np.ndarray] = None
 
     def symmetrized(self) -> np.ndarray:
         return 0.5 * (self.gram + self.gram.T)
@@ -195,30 +224,40 @@ def malliavin_quadratic_form(path: FrozenPath, noise: NoiseSpec,
 
 
 def assemble_malliavin(path: FrozenPath, noise: NoiseSpec,
-                       n_level: Optional[int] = None) -> MalliavinMatrix:
+                       n_level: Optional[int] = None,
+                       probes: Optional[np.ndarray] = None) -> MalliavinMatrix:
     """Gram matrix over the modes with |k| <= n_level (default: full truncation).
 
-    One batched backward solve per basis block; the result is a Gram matrix
-    of quadrature-weighted response profiles and hence PSD up to roundoff.
+    One backward sweep carries the unit rows of the block, and the optional
+    ``probes`` rows (n_probes, dim) beside them, from T down to 0.  Each level
+    adds F_n F_n^T to the Gram matrix, with F_n the forced components of the
+    block rows times sqrt(w_n) amp, so the result is symmetric and PSD up to
+    roundoff and the memory does not grow with the number of steps.
     """
     basis = path.basis
     if n_level is None:
         n_level = basis.n_cut
     sel = basis.level_indices(n_level)
-    T = float(path.record.times[-1])
-    t0 = float(path.record.times[0])
-    phi0 = np.zeros((len(sel), basis.dim))
-    phi0[np.arange(len(sel)), sel] = 1.0
-    levels = adjoint_profile(path, phi0, t0, T)  # (n+1, ncols, dim)
+    ncols = len(sel)
+    rows = np.zeros((ncols, basis.dim))
+    rows[np.arange(ncols), sel] = 1.0
+    if probes is not None:
+        rows = np.vstack([rows, probes])
     idx = noise.mode_indices(basis)
-    prof = levels[:, :, idx]  # (n+1, ncols, d)
-    w = _trapezoid_weights(path.n_steps, path.dt)
-    weighted = prof * np.sqrt(w)[:, None, None] * noise.amplitudes()
-    flat = np.moveaxis(weighted, 1, 0).reshape(len(sel), -1)
-    gram = flat @ flat.T
-    modes = [basis.mode_at(i) for i in sel]
-    return MalliavinMatrix(gram=gram, modes=modes, mode_indices=sel,
-                           horizon=T - t0, quadrature_steps=path.n_steps)
+    scale = np.sqrt(_trapezoid_weights(path.n_steps, path.dt))[:, None] * noise.amplitudes()
+    gram = np.zeros((ncols, ncols))
+    profiles = None if probes is None else np.empty((path.n_steps + 1, len(probes), len(idx)))
+    for n, rho in _backward_sweep(path, rows, 0, path.n_steps):
+        forced = rho[:, idx]
+        f = forced[:ncols] * scale[n]
+        gram += f @ f.T
+        if profiles is not None:
+            profiles[n] = forced[ncols:]
+    t0 = float(path.record.times[0])
+    return MalliavinMatrix(gram=gram, modes=[basis.mode_at(i) for i in sel],
+                           mode_indices=sel,
+                           horizon=float(path.record.times[-1]) - t0,
+                           quadrature_steps=path.n_steps, probe_profiles=profiles)
 
 
 @dataclass(frozen=True)

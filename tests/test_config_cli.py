@@ -343,6 +343,14 @@ MALFORMED = {
     "run.workers": NON_FINITE + WRONG_TYPE + [0],
     "analysis.paths": NON_FINITE + WRONG_TYPE + [-1, 1.5],
     "analysis.eta": NON_FINITE,
+    "analysis.cone_alpha": NON_FINITE + WRONG_TYPE[:4] + [0, -0.5, 2],
+    "analysis.cone_n": NON_FINITE + WRONG_TYPE[:4] + [0, 1.5],
+    "analysis.cone_samples": NON_FINITE + WRONG_TYPE[:4] + [-5, 2.5],
+    "analysis.basis_level": NON_FINITE + WRONG_TYPE[:4] + [0, -1],
+    "analysis.profile_modes": ["x", {"k": [0, 1]}, [None], [{"slot": "x", "k": [0, 1]}],
+                               [{"k": [9, 9]}], [{"k": [0, -1]}], [{"k": [0, 0]}],
+                               [{"k": [0, 1], "parity": 2}], [{"k": [0, 1], "parity": True}],
+                               [{"k": [1]}], [{"k": [0, 1], "amplitude": 1.0}]],
     "noise.z0[0].amplitudes": [[v, 1.0] for v in NON_FINITE + ["x", None, True]],
 }
 
@@ -384,14 +392,22 @@ class TestMalformedConfigContract:
             assert not out.exists()
 
     @pytest.mark.parametrize("override", [
-        "equation.dt=NaN", "run.T=Infinity", "run.seed=-3", "analysis.paths=\"two\""])
+        "equation.dt=NaN", "run.T=Infinity", "run.seed=-3", "analysis.paths=\"two\"",
+        pytest.param('analysis.profile_modes=[{"slot":"x","k":[0,1]}]', id="profile_slot"),
+        pytest.param('analysis.profile_modes=[{"k":[9,9]}]', id="profile_k_outside"),
+        pytest.param('analysis.cone_samples="x"', id="cone_samples_string"),
+        pytest.param("analysis.cone_samples=-5", id="cone_samples_negative"),
+        pytest.param("analysis.cone_alpha=2", id="cone_alpha_above_1"),
+        pytest.param("analysis.cone_n=0", id="cone_n_zero"),
+        pytest.param('analysis.basis_level="x"', id="basis_level_string")])
     def test_example_config_probes_exit_2(self, tmp_path, capsys, override):
         example = Path(__file__).resolve().parents[1] / "config.example.json"
         out = tmp_path / "out"
         code = main(["malliavin", "--config", str(example), "--out", str(out),
                      "--set", override])
         assert code == 2
-        assert json.loads(capsys.readouterr().err)["violations"]
+        violations = json.loads(capsys.readouterr().err)["violations"]
+        assert any(override.partition("=")[0] in v for v in violations), violations
         assert not out.exists()
 
     def test_negative_seed_flag_rejected(self, tmp_path, capsys):

@@ -168,6 +168,16 @@ class TestBilinear:
             for row in range(5):
                 assert np.array_equal(batch[row], bilinear_transform(basis, a[row], b[row]))
 
+    def test_merged_jacobian_matches_unmerged_triads(self):
+        # apply sums the unmerged triads, so its rows L e_j = B(U, e_j) + B(e_j, U)
+        # check the entries merged per (cell, state) pair
+        basis, table = ModeBasis(4), triad_table(4)
+        u, eye = np.random.default_rng(8).standard_normal(basis.dim), np.eye(basis.dim)
+        want = (table.apply(u, eye) + table.apply(eye, u)).T
+        assert np.max(np.abs(table.jacobian(u) - want)) < 1e-14 * np.max(np.abs(want))
+        pairs = table.jac_cell * basis.dim + table.jac_state
+        assert len(np.unique(pairs)) == len(pairs) < 8 * len(table.coeff)  # 8 terms per triad
+
     def test_linear_regime_never_builds_triads(self):
         basis = ModeBasis(5)
         params = make_params(n_cut=5, nonlinearity_enabled=False)

@@ -1,6 +1,11 @@
 """Tangent/adjoint flows, Gram matrix closed forms, and cone spectral probes."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +27,7 @@ from torusmhd.malliavin import (
     FrozenPath,
     MalliavinMatrix,
     adjoint_apply,
+    adjoint_profile,
     assemble_malliavin,
     cone_infimum,
     jacobian_apply,
@@ -238,6 +244,76 @@ class TestAssemble:
         mat = assemble_malliavin(path, noise, n_level=1)
         assert all(norm_sq(m.k) <= 1 for m in mat.modes)
         assert mat.gram.shape == (len(mat.modes),) * 2
+
+
+class TestStreamedSweep:
+    """The one backward sweep against the buffered levels it replaced."""
+
+    @staticmethod
+    def buffered_gram(path, noise, n_level):
+        sel = path.basis.level_indices(n_level)
+        phi0 = np.zeros((len(sel), path.basis.dim))
+        phi0[np.arange(len(sel)), sel] = 1.0
+        prof = adjoint_profile(path, phi0, 0.0, 0.2)[:, :, noise.mode_indices(path.basis)]
+        w = np.full(path.n_steps + 1, path.dt)
+        w[0] = w[-1] = 0.5 * path.dt
+        flat = np.moveaxis(prof * np.sqrt(w)[:, None, None] * noise.amplitudes(), 1, 0)
+        flat = flat.reshape(len(sel), -1)
+        return flat @ flat.T
+
+    @pytest.mark.parametrize("n_level", [None, 1])
+    def test_gram_matches_buffered_levels(self, n_level):
+        path, basis, params, noise, u0, rng = nonlinear_path()
+        mat = assemble_malliavin(path, noise, n_level=n_level)
+        want = self.buffered_gram(path, noise, n_level or basis.n_cut)
+        assert np.max(np.abs(mat.gram - want)) < 1e-12 * np.max(np.abs(want))
+        assert np.array_equal(mat.gram, mat.gram.T)
+        assert mat.probe_profiles is None
+
+    def test_probe_profiles_match_adjoint_profile(self):
+        path, basis, params, noise, u0, rng = nonlinear_path()
+        probes = rng.standard_normal((2, basis.dim))
+        mat = assemble_malliavin(path, noise, n_level=1, probes=probes)
+        want = adjoint_profile(path, probes, 0.0, 0.2)[:, :, noise.mode_indices(basis)]
+        assert mat.probe_profiles.shape == (path.n_steps + 1, 2, noise.dim)
+        assert np.max(np.abs(mat.probe_profiles - want)) < 1e-12 * np.max(np.abs(want))
+        # the probes ride along without entering the Gram matrix
+        alone = assemble_malliavin(path, noise, n_level=1).gram
+        assert np.max(np.abs(mat.gram - alone)) < 1e-12 * np.max(np.abs(alone))
+
+    def test_step_matrix_is_decayed_jacobian_step(self):
+        path, basis, *_ = nonlinear_path()
+        for n in (0, 37, path.n_steps - 1):
+            want = path.decay[:, None] * (np.eye(basis.dim) - path.dt * path.jacobian(n))
+            assert np.max(np.abs(path.step_matrix(n) - want)) < 1e-14
+
+    def test_memory_independent_of_step_count(self):
+        # the buffered levels, (n + 1, 96, 96) float64, would take 37 MB at
+        # T=0.5 and 147 MB at T=2
+        code = textwrap.dedent("""
+            import tracemalloc
+            from torusmhd.galerkin import (EquationParams, ModeBasis, NoiseSpec,
+                                           simulate, zero_state)
+            from torusmhd.malliavin import FrozenPath, assemble_malliavin
+
+            params = EquationParams(alpha=1.5, beta=1.5, n_cut=4, dt=1e-3)
+            noise = NoiseSpec.uniform([(0, 1), (1, 1), (1, 0), (1, 2)], 1.0)
+            for horizon in (0.5, 2.0):
+                rec = simulate(zero_state(ModeBasis(4)), params, noise, horizon,
+                               seed=3, snapshot_stride=1)
+                path = FrozenPath(rec)
+                tracemalloc.start()
+                assemble_malliavin(path, noise, probes=path.states[:1])
+                print(tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
+        """)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True)
+        peaks = [int(v) for v in out.stdout.split()]
+        assert len(peaks) == 2 and max(peaks) < 2 * 2**20, peaks
 
 
 def diag_matrix(values, modes):
