@@ -39,7 +39,7 @@ from .galerkin import (
     unit_mode_state,
     zero_state,
 )
-from .lattice import COS, MAGNETIC, make_mode
+from .lattice import COS, MAGNETIC, Mode, make_mode
 from .malliavin import (
     ConeSpec,
     FrozenPath,
@@ -120,28 +120,31 @@ def _parse_vec_list(text: str) -> list[tuple[int, int]]:
     return out
 
 
-def _observable_from_spec(spec: dict, basis: ModeBasis) -> Observable:
+def _mode(spec: dict) -> Mode:
+    """The mode named by a validated {slot, k, parity} entry."""
+    return make_mode(SLOTS[spec.get("slot", "magnetic")], tuple(spec["k"]),
+                     spec.get("parity", COS))
+
+
+def _observable(cfg: ExperimentConfig) -> Observable:
+    spec = cfg.analysis.get("observable")
+    if spec is None:
+        raise ConfigError(["analysis.observable is required by this subcommand"])
     kind = spec.get("kind", "mode_coefficient")
     if kind == "total_energy":
         return Observable(kind="total_energy")
-    slot = SLOTS[spec.get("slot", "magnetic")]
-    k = tuple(spec["k"])
-    parity = int(spec.get("parity", COS))
-    mode = make_mode(slot, k, parity)
-    basis.mode_index(mode)  # validates membership in the truncation
-    return Observable(kind=kind, mode=mode, scale=float(spec.get("scale", 1.0)))
+    return Observable(kind=kind, mode=_mode(spec), scale=float(spec.get("scale", 1.0)))
 
 
 def _state_from_spec(entries, basis: ModeBasis) -> SpectralState:
     state = zero_state(basis)
     for entry in entries or []:
-        slot = SLOTS[entry.get("slot", "magnetic")]
-        mode = make_mode(slot, tuple(entry["k"]), int(entry.get("parity", COS)))
-        state.coeffs[basis.mode_index(mode)] = float(entry.get("amplitude", 1.0))
+        state.coeffs[basis.mode_index(_mode(entry))] = float(entry.get("amplitude", 1.0))
     return state
 
 
-def _load_config(args) -> ExperimentConfig:
+def _load_config(args) -> tuple[ExperimentConfig, ModeBasis]:
+    """The validated configuration of a subcommand, and the basis of its truncation."""
     overrides = {}
     for item in args.set or []:
         key, _, raw = item.partition("=")
@@ -156,7 +159,8 @@ def _load_config(args) -> ExperimentConfig:
         overrides["run.seed"] = args.seed
     if getattr(args, "workers", None) is not None:
         overrides["run.workers"] = args.workers
-    return parse_config(args.config, overrides)
+    cfg = parse_config(args.config, overrides)
+    return cfg, ModeBasis(cfg.equation.n_cut, cfg.equation.grid)
 
 
 # ---------------------------------------------------------------------------
@@ -231,20 +235,14 @@ def cmd_reach(args) -> int:
 
 def _tracked_modes(cfg: ExperimentConfig, basis: ModeBasis):
     specs = cfg.analysis.get("track_modes")
-    if specs is None:
-        modes = [make_mode(MAGNETIC, e.k, e.parity) for e in cfg.noise.entries]
-    else:
-        modes = []
-        for spec in specs:
-            slot = SLOTS[spec.get("slot", "magnetic")]
-            modes.append(make_mode(slot, tuple(spec["k"]), int(spec.get("parity", COS))))
+    modes = ([make_mode(MAGNETIC, e.k, e.parity) for e in cfg.noise.entries] if specs is None
+             else [_mode(spec) for spec in specs])
     return [(m, basis.mode_index(m)) for m in modes]
 
 
 def cmd_simulate(args) -> int:
     started = time.time()
-    cfg = _load_config(args)
-    basis = ModeBasis(cfg.equation.n_cut, cfg.equation.grid)
+    cfg, basis = _load_config(args)
     u0 = _state_from_spec(cfg.analysis.get("initial_state"), basis)
     tracked = _tracked_modes(cfg, basis)
     out = OutputDir.create(args.out)
@@ -270,8 +268,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_malliavin(args) -> int:
     started = time.time()
-    cfg = _load_config(args)
-    basis = ModeBasis(cfg.equation.n_cut, cfg.equation.grid)
+    cfg, basis = _load_config(args)
     u0 = _state_from_spec(cfg.analysis.get("initial_state"), basis)
     analysis = cfg.analysis
     cone = ConeSpec(alpha=float(analysis.get("cone_alpha", 0.5)),
@@ -279,9 +276,7 @@ def cmd_malliavin(args) -> int:
     n_paths = analysis.get("paths", 1)
     samples = analysis.get("cone_samples", 200)
     level = analysis.get("basis_level")
-    profile_modes = [make_mode(SLOTS[spec.get("slot", "magnetic")], tuple(spec["k"]),
-                               spec.get("parity", COS))
-                     for spec in analysis.get("profile_modes", [])]
+    profile_modes = [_mode(spec) for spec in analysis.get("profile_modes") or []]
     probes = None
     if profile_modes:
         probes = np.array([unit_mode_state(basis, m).coeffs for m in profile_modes])
@@ -328,10 +323,9 @@ def cmd_malliavin(args) -> int:
 
 def cmd_lln(args) -> int:
     started = time.time()
-    cfg = _load_config(args)
-    basis = ModeBasis(cfg.equation.n_cut, cfg.equation.grid)
+    cfg, basis = _load_config(args)
     u0 = _state_from_spec(cfg.analysis.get("initial_state"), basis)
-    obs = _observable_from_spec(cfg.analysis.get("observable", {}), basis)
+    obs = _observable(cfg)
     burn_in = float(cfg.analysis.get("burn_in", 0.0))
     out = OutputDir.create(args.out)
     rec = simulate(u0, cfg.equation, cfg.noise, cfg.run.horizon, cfg.run.seed,
@@ -347,10 +341,9 @@ def cmd_lln(args) -> int:
 
 def cmd_clt(args) -> int:
     started = time.time()
-    cfg = _load_config(args)
-    basis = ModeBasis(cfg.equation.n_cut, cfg.equation.grid)
+    cfg, basis = _load_config(args)
     u0 = _state_from_spec(cfg.analysis.get("initial_state"), basis)
-    obs = _observable_from_spec(cfg.analysis.get("observable", {}), basis)
+    obs = _observable(cfg)
     replicas = int(cfg.analysis.get("replicas", max(cfg.run.ensemble_size, 50)))
     out = OutputDir.create(args.out)
     report = clt_sample(u0, cfg.equation, cfg.noise, obs, cfg.run.horizon,
@@ -370,13 +363,12 @@ def cmd_clt(args) -> int:
 
 def cmd_mix(args) -> int:
     started = time.time()
-    cfg = _load_config(args)
-    basis = ModeBasis(cfg.equation.n_cut, cfg.equation.grid)
+    cfg, basis = _load_config(args)
     u0_a = _state_from_spec(cfg.analysis.get("u0_a"), basis)
     u0_b = _state_from_spec(cfg.analysis.get("u0_b"), basis)
     if np.array_equal(u0_a.coeffs, u0_b.coeffs):
         raise ConfigError(["mix requires distinct initial states u0_a and u0_b"])
-    obs = _observable_from_spec(cfg.analysis.get("observable", {}), basis)
+    obs = _observable(cfg)
     replicas = int(cfg.analysis.get("replicas", max(cfg.run.ensemble_size, 100)))
     out = OutputDir.create(args.out)
     report = mixing_decay_estimate(u0_a, u0_b, cfg.equation, cfg.noise, obs,
@@ -396,8 +388,7 @@ def cmd_mix(args) -> int:
 
 def cmd_moment(args) -> int:
     started = time.time()
-    cfg = _load_config(args)
-    basis = ModeBasis(cfg.equation.n_cut, cfg.equation.grid)
+    cfg, basis = _load_config(args)
     u0 = _state_from_spec(cfg.analysis.get("initial_state"), basis)
     eta = float(cfg.analysis.get("eta", 0.01))
     n_traj = cfg.run.ensemble_size

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
+from .diagnostics import OBSERVABLE_KINDS
 from .galerkin import EquationParams, NoiseSpec
 from .lattice import COS, MAGNETIC, SIN, VELOCITY, is_canonical, norm_sq
 
@@ -84,12 +85,12 @@ def _check_keys(section: dict, allowed: set, where: str, errors: list[str]) -> N
             errors.append(f"unknown key {key!r} in {where}")
 
 
-def _check_mode_entry(entry, n_cut: Optional[int], where: str, errors: list[str]) -> None:
-    """A mode object {slot, k, parity} whose k is canonical and inside the truncation."""
+def _check_mode_entry(entry, n_cut: Optional[int], where: str, errors: list, numbers=()):
+    """A mode object {slot, k, parity, *numbers}, k canonical and inside the truncation."""
     if not isinstance(entry, dict):
         errors.append(f"{where} must be an object")
         return
-    _check_keys(entry, {"slot", "k", "parity"}, where, errors)
+    _check_keys(entry, {"slot", "k", "parity", *numbers}, where, errors)
     if entry.get("slot", "magnetic") not in SLOTS:
         errors.append(f"{where}.slot must be one of {sorted(SLOTS)}")
     parity = entry.get("parity", COS)
@@ -101,25 +102,52 @@ def _check_mode_entry(entry, n_cut: Optional[int], where: str, errors: list[str]
     elif not is_canonical(k) or (n_cut is not None and norm_sq(k) > n_cut * n_cut):
         errors.append(f"{where}.k={k} must be a canonical wavevector (k1 > 0, or "
                       f"k1 = 0 and k2 > 0) inside the truncation n_cut={n_cut}")
+    errors += [f"{where}.{key} must be a finite number" for key in numbers
+               if not _is_number(entry.get(key, 1.0))]
 
 
-def _check_malliavin_analysis(analysis: dict, n_cut: Optional[int],
-                              errors: list[str]) -> None:
-    """The cone, sampling, basis-level and profile entries of the Malliavin probe."""
-    alpha = analysis.get("cone_alpha", 0.5)
-    if not _is_number(alpha) or not 0 < alpha <= 1:
-        errors.append(f"analysis.cone_alpha must be a number in (0, 1] (got {alpha!r})")
-    for key, least, default in (("cone_n", 1, 1), ("cone_samples", 0, 200),
-                                ("basis_level", 1, None)):
-        value = analysis.get(key, default)
-        if value is not None and (not _is_int(value) or value < least):
-            errors.append(f"analysis.{key} must be an integer >= {least} (got {value!r})")
-    specs = analysis.get("profile_modes", [])
-    if not isinstance(specs, list):
-        errors.append("analysis.profile_modes must be a list of mode objects")
-        return
-    for i, entry in enumerate(specs):
-        _check_mode_entry(entry, n_cut, f"analysis.profile_modes[{i}]", errors)
+def _check_whole_steps(where: str, horizon, dt, errors: list[str]) -> None:
+    if _is_number(horizon) and _is_number(dt) and dt > 0 and horizon > 0:
+        n = horizon / dt
+        if not math.isfinite(n) or abs(n - round(n)) > 1e-9 * max(1.0, n):
+            errors.append(f"{where}={horizon} is not a whole number of steps of dt={dt}")
+
+
+#: The numeric ``analysis`` entries: the test each value must pass, and the rule it states.
+_ANALYSIS_NUMBERS = {
+    "paths": (lambda v: _is_int(v) and v >= 0, "a non-negative integer"),
+    "cone_alpha": (lambda v: _is_number(v) and 0 < v <= 1, "a number in (0, 1]"),
+    "cone_n": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
+    "cone_samples": (lambda v: _is_int(v) and v >= 0, "an integer >= 0"),
+    "basis_level": (lambda v: v is None or _is_int(v) and v >= 1, "an integer >= 1"),
+    "replicas": (lambda v: _is_int(v) and v >= 2, "an integer >= 2"),
+    "eta": (lambda v: _is_number(v) and v > 0, "a positive number"),
+    "burn_in": (lambda v: _is_number(v) and v >= 0, "a non-negative number"),
+    "pilot_horizon": (lambda v: v is None or _is_number(v) and v > 0, "a positive number"),
+}
+
+
+def _check_analysis(analysis: dict, n_cut: Optional[int], dt, errors: list[str]) -> None:
+    """The numbers, observable and mode lists of the ``analysis`` section."""
+    for key, (valid, rule) in _ANALYSIS_NUMBERS.items():
+        if key in analysis and not valid(analysis[key]):
+            errors.append(f"analysis.{key} must be {rule} (got {analysis[key]!r})")
+    _check_whole_steps("analysis.pilot_horizon", analysis.get("pilot_horizon"), dt, errors)
+    obs = analysis.get("observable", {"kind": "total_energy"})
+    kind = obs.get("kind", "mode_coefficient") if isinstance(obs, dict) else None
+    if kind not in OBSERVABLE_KINDS:
+        errors.append(f"analysis.observable must be an object, kind in {list(OBSERVABLE_KINDS)}")
+    elif kind != "total_energy":
+        _check_mode_entry({key: v for key, v in obs.items() if key != "kind"}, n_cut,
+                          "analysis.observable", errors, ("scale",))
+    for key in ("initial_state", "u0_a", "u0_b", "track_modes", "profile_modes"):
+        specs = analysis.get(key)
+        if specs is not None and not isinstance(specs, list):  # null: the default
+            errors.append(f"analysis.{key} must be a list of mode objects")
+            continue
+        numbers = () if key.endswith("modes") else ("amplitude",)
+        for i, entry in enumerate(specs or []):
+            _check_mode_entry(entry, n_cut, f"analysis.{key}[{i}]", errors, numbers)
 
 
 def validate_config(doc: dict) -> ExperimentConfig:
@@ -220,20 +248,14 @@ def validate_config(doc: dict) -> ExperimentConfig:
     workers = run_doc.get("workers", 1)
     if not _is_int(workers) or workers < 1:
         errors.append("run.workers must be a positive integer")
-    if _is_number(horizon) and _is_number(dt) and dt > 0 and horizon > 0:
-        n = horizon / dt
-        if not math.isfinite(n) or abs(n - round(n)) > 1e-9 * max(1.0, n):
-            errors.append(f"run.T={horizon} is not a whole number of steps of dt={dt}")
+    _check_whole_steps("run.T", horizon, dt, errors)
 
     analysis = doc.get("analysis", {})
     if not isinstance(analysis, dict):
         errors.append("'analysis' must be an object")
         analysis = {}
     _check_finite(analysis, "analysis", errors)
-    paths = analysis.get("paths", 0)
-    if not _is_int(paths) or paths < 0:
-        errors.append("analysis.paths must be a non-negative integer")
-    _check_malliavin_analysis(analysis, n_cut if _is_int(n_cut) else None, errors)
+    _check_analysis(analysis, n_cut if _is_int(n_cut) else None, dt, errors)
 
     if errors:
         raise ConfigError(errors)

@@ -51,6 +51,11 @@ from .lattice import Mode
 # Observables.
 # ---------------------------------------------------------------------------
 
+#: What an ``Observable`` can measure.
+OBSERVABLE_KINDS = ("mode_coefficient", "mode_coefficient_squared", "total_energy",
+                    "bounded_lipschitz")
+
+
 @dataclass(frozen=True)
 class Observable:
     """A functional of the state, measurable from the coefficients alone.
@@ -65,22 +70,24 @@ class Observable:
     scale: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("mode_coefficient", "mode_coefficient_squared",
-                             "total_energy", "bounded_lipschitz"):
+        if self.kind not in OBSERVABLE_KINDS:
             raise ValueError(f"unknown observable kind {self.kind!r}")
         if self.kind != "total_energy" and self.mode is None:
             raise ValueError(f"observable {self.kind!r} needs a mode")
 
-    def of_states(self, basis: ModeBasis, states: np.ndarray) -> np.ndarray:
-        states = np.atleast_2d(states)
+    def reducer(self, basis: ModeBasis) -> Callable[[np.ndarray], np.ndarray]:
+        """The values of (..., dim) states on ``basis``, its mode index looked up once."""
         if self.kind == "total_energy":
-            return (states**2).sum(axis=-1)
-        c = states[..., basis.mode_index(self.mode)]
+            return lambda states: (states**2).sum(axis=-1)
+        j = basis.mode_index(self.mode)
         if self.kind == "mode_coefficient":
-            return c
+            return lambda states: states[..., j]
         if self.kind == "mode_coefficient_squared":
-            return c**2
-        return np.tanh(self.scale * c)
+            return lambda states: states[..., j] ** 2
+        return lambda states: np.tanh(self.scale * states[..., j])
+
+    def of_states(self, basis: ModeBasis, states: np.ndarray) -> np.ndarray:
+        return self.reducer(basis)(np.atleast_2d(states))
 
     def __call__(self, state: SpectralState) -> float:
         return float(self.of_states(state.basis, state.coeffs[None, :])[0])
@@ -224,7 +231,7 @@ def clt_sample(u0: SpectralState, params: EquationParams, noise: NoiseSpec,
     del pilot  # its states are not needed while the replicas run
 
     times, values = _replica_series(u0, params, noise, horizon, seed, range(n_replicas),
-                                    lambda c: obs.of_states(u0.basis, c), snapshot_stride)
+                                    obs.reducer(u0.basis), snapshot_stride)
     mask = times >= burn_in - 1e-12
     samples = np.array([normalized_integral(values[mask, i], times[mask], m_hat)
                         for i in range(n_replicas)])
@@ -279,7 +286,7 @@ def mixing_decay_estimate(u0_a: SpectralState, u0_b: SpectralState,
     def run(u0: SpectralState, tag: int):
         streams = range(tag * n_replicas, (tag + 1) * n_replicas)
         times, values = _replica_series(u0, params, noise, horizon, seed, streams,
-                                        lambda c: obs.of_states(u0.basis, c), snapshot_stride)
+                                        obs.reducer(u0.basis), snapshot_stride)
         vals = np.ascontiguousarray(values.T)  # (replica, time), as reduced replica by replica
         return times, vals.mean(axis=0), vals.var(axis=0, ddof=1) / n_replicas
 

@@ -39,14 +39,17 @@ treat the rows independently, so a replica batch steps R trajectories for
 the Python overhead of one, and each row equals the lone trajectory on its
 stream bit for bit.  ``simulate`` is the one-trajectory case that keeps the
 whole record; ``ensemble`` yields the batch at each snapshot, for callers
-that reduce the states as the loop steps.
+that reduce the states as the loop steps; ``step`` is a one-step run of the
+same loop.  The loop's contract: the route of B is chosen once per run from
+n_cut, each block of increments is scaled to noise kicks in one expression,
+every snapshot is a fresh array, and every step is tested for finiteness.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Optional
 
 import numpy as np
@@ -462,16 +465,23 @@ def bilinear_convolution(basis: ModeBasis, cu: np.ndarray, cv: np.ndarray) -> np
     return triad_table(basis.n_cut).apply(cu, cv)
 
 
-def bilinear_B(basis: ModeBasis, cu: np.ndarray, cv: np.ndarray,
-               path: Optional[str] = None) -> np.ndarray:
-    """B(U, V) by the named route, or by the faster one for this truncation."""
+def _route(basis: ModeBasis, path: Optional[str] = None):
+    """B as a function of (U, V): the named route, or the faster one at this n_cut.
+
+    Looked up on each call, so it binds a wrapper installed on ``bilinear_transform``."""
     if path is None:
         path = "convolution" if basis.n_cut <= TRIAD_MAX_N_CUT else "transform"
     if path == "transform":
-        return bilinear_transform(basis, cu, cv)
+        return partial(bilinear_transform, basis)
     if path == "convolution":
-        return bilinear_convolution(basis, cu, cv)
+        return triad_table(basis.n_cut).apply
     raise ValueError(f"unknown bilinear path {path!r}")
+
+
+def bilinear_B(basis: ModeBasis, cu: np.ndarray, cv: np.ndarray,
+               path: Optional[str] = None) -> np.ndarray:
+    """B(U, V) by the named route, or by the faster one for this truncation."""
+    return _route(basis, path)(cu, cv)
 
 
 def commutator_with_drift(state: SpectralState, mode: Mode,
@@ -496,54 +506,18 @@ def commutator_with_drift(state: SpectralState, mode: Mode,
 # Time stepping.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _StepContext:
-    decay: np.ndarray          # e^{-lam dt}, shape (dim,)
-    noise_scale: np.ndarray    # exact one-step stddev per forced entry, (d,)
-    noise_idx: np.ndarray      # coefficient index per forced entry, (d,)
-    sqrt_dt: float
-
-
-def _step_context(basis: ModeBasis, params: EquationParams,
-                  noise: NoiseSpec) -> _StepContext:
-    lam = basis.dissipation_array(params)
-    decay = np.exp(-lam * params.dt)
-    if noise.dim:
-        idx = noise.mode_indices(basis)
-        lam_f = lam[idx]
-        scale = noise.amplitudes() * np.sqrt(-np.expm1(-2.0 * lam_f * params.dt) / (2.0 * lam_f))
-    else:
-        idx = np.zeros(0, dtype=int)
-        scale = np.zeros(0)
-    return _StepContext(decay, scale, idx, math.sqrt(params.dt))
-
-
-def _advance(coeffs: np.ndarray, ctx: _StepContext, basis: ModeBasis,
-             params: EquationParams, dw: Optional[np.ndarray]) -> np.ndarray:
-    if params.nonlinearity_enabled:
-        coeffs = coeffs - params.dt * bilinear_B(basis, coeffs, coeffs)
-    coeffs = ctx.decay * coeffs
-    if dw is not None and ctx.noise_idx.size:
-        # dw carries variance dt; rescale to the exact one-step convolution.
-        # Indexing the transposes picks the forced entries of every replica
-        # row; on a lone state it costs less than half of coeffs[..., idx].
-        coeffs.T[ctx.noise_idx] += (ctx.noise_scale * (dw / ctx.sqrt_dt)).T
-    return coeffs
-
-
 def step(state: SpectralState, params: EquationParams, noise: NoiseSpec,
          dw: Optional[np.ndarray] = None) -> SpectralState:
     """One exponential Euler-Maruyama step; ``dw`` holds d normals times sqrt(dt)."""
-    if noise.dim:
-        if dw is None or len(dw) != noise.dim:
-            raise ValueError(f"dw must have length {noise.dim}")
-    ctx = _step_context(state.basis, params, noise)
-    coeffs = _advance(state.coeffs, ctx, state.basis, params,
-                      np.asarray(dw, dtype=float) if dw is not None else None)
-    t = state.time + params.dt
-    if not np.all(np.isfinite(coeffs)):
-        raise SimulationError(t)
-    return SpectralState(state.basis, coeffs, t)
+    if noise.dim and (dw is None or len(dw) != noise.dim):
+        raise ValueError(f"dw must have length {noise.dim}")
+    block = np.asarray(dw, dtype=float)[None] if noise.dim else np.zeros((1, 0))
+    try:
+        _, (t, coeffs) = _integrate(state.basis, state.coeffs, state.time, params, noise,
+                                    1, 1, [block])
+    except SimulationError as exc:
+        raise SimulationError(exc.time) from None
+    return SpectralState(state.basis, coeffs, float(t))
 
 
 def trajectory_seed(master, index: int):
@@ -581,27 +555,45 @@ def _integrate(basis: ModeBasis, coeffs: np.ndarray, t0: float,
     increments as (steps, d) or (steps, R, d) blocks that together cover
     ``n_steps`` steps.  Every replica row evolves on its own, so a row's
     values do not depend on the rows batched with it.  ``streams`` names the
-    rows in a blow-up report.
+    rows in a blow-up report.  Each step makes one fresh array and updates it
+    in place, so a yielded snapshot is never written again.
     """
-    ctx = _step_context(basis, params, noise)
+    dt = params.dt
+    lam = basis.dissipation_array(params)
+    decay = np.exp(-lam * dt)
+    idx = noise.mode_indices(basis)
+    lam_f = lam[idx]
+    # the exact one-step stddev of each forced entry, for increments of variance dt
+    scale = noise.amplitudes() * np.sqrt(-np.expm1(-2.0 * lam_f * dt) / (2.0 * lam_f))
+    sqrt_dt = math.sqrt(dt)
+    B = _route(basis) if params.nonlinearity_enabled else None
     snaps = snapshot_steps(n_steps, snapshot_stride)
-    times = t0 + params.dt * np.array(snaps)
+    times = t0 + dt * np.array(snaps)
     yield times[0], coeffs
-    row, n = 1, 0
+    snaps.append(-1)  # no step is due after the last snapshot
+    row, n, due = 1, 0, snaps[1]
     for block in dw_blocks:
-        for dw in block:
-            advanced = _advance(coeffs, ctx, basis, params, dw)
+        for kick in scale * (block / sqrt_dt):
+            if B is None:
+                advanced = coeffs * decay
+            else:
+                advanced = coeffs - dt * B(coeffs, coeffs)
+                advanced *= decay
+            if idx.size:
+                # through the transposes: every row's forced entries, cheapest when lone
+                advanced.T[idx] += kick.T
             n += 1
-            if not np.all(np.isfinite(advanced)):
+            if not np.isfinite(advanced).all():
                 finite = np.isfinite(advanced.reshape(-1, basis.dim)).all(-1)
                 bad = int(np.flatnonzero(~finite)[0])
-                raise SimulationError(t0 + n * params.dt, n,
+                raise SimulationError(t0 + n * dt, n,
                                       None if streams is None else streams[bad],
                                       math.hypot(*coeffs.reshape(-1, basis.dim)[bad]))
             coeffs = advanced
-            if snaps[row] == n:
+            if n == due:
                 yield times[row], coeffs
                 row += 1
+                due = snaps[row]
 
 
 #: Normals drawn per block of an ensemble's increments, over all replicas.
@@ -644,12 +636,6 @@ class TrajectoryRecord:
     states: np.ndarray                     # (n_snapshots, dim)
     noise_increments: Optional[np.ndarray] = None  # (n_steps, d)
 
-    def state_at(self, i: int) -> SpectralState:
-        return SpectralState(self.basis, self.states[i].copy(), float(self.times[i]))
-
-    def final_state(self) -> SpectralState:
-        return self.state_at(len(self.times) - 1)
-
 
 def simulate(state0: SpectralState, params: EquationParams, noise: NoiseSpec,
              horizon: float, seed, snapshot_stride: int = 1,
@@ -673,9 +659,9 @@ def simulate(state0: SpectralState, params: EquationParams, noise: NoiseSpec,
 
     n_snaps = len(snapshot_steps(n_steps, snapshot_stride))
     times, states = np.empty(n_snaps), np.empty((n_snaps, state0.basis.dim))
-    for row, (t, coeffs) in enumerate(_integrate(state0.basis, state0.coeffs.copy(),
-                                                 state0.time, params, noise, n_steps,
-                                                 snapshot_stride, [dws])):
+    for row, (t, coeffs) in enumerate(_integrate(state0.basis, state0.coeffs, state0.time,
+                                                 params, noise, n_steps, snapshot_stride,
+                                                 [dws])):
         times[row], states[row] = t, coeffs
 
     return TrajectoryRecord(

@@ -77,12 +77,6 @@ def is_canonical(k: Vec) -> bool:
     return k[0] > 0 or (k[0] == 0 and k[1] > 0)
 
 
-def canonicalize(k: Vec) -> Vec:
-    if k == (0, 0):
-        raise ValueError("zero wavevector has no canonical representative")
-    return k if is_canonical(k) else (-k[0], -k[1])
-
-
 def canonical_rep(k: Vec, parity: int) -> tuple[Vec, int]:
     """Canonical wavevector k' and the sign s with e_k = s * e_k'.
 

@@ -252,6 +252,16 @@ class TestCli:
         code = main(["mix", "--config", cfg, "--out", str(tmp_path / "mix")])
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["lln", "clt", "mix"])
+    def test_missing_observable_is_a_config_error(self, tmp_path, capsys, command):
+        doc = small_config()
+        doc["analysis"] = {"u0_b": [{"k": [0, 1], "amplitude": 1.0}]}
+        out = tmp_path / "out"
+        assert main([command, "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
+        assert json.loads(capsys.readouterr().err)["violations"] == [
+            "analysis.observable is required by this subcommand"]
+        assert not out.exists()
+
     def test_moment_subcommand(self, tmp_path):
         doc = small_config(horizon=0.05)
         doc["run"]["ensemble_size"] = 2
@@ -342,13 +352,25 @@ MALFORMED = {
     "run.ensemble_size": NON_FINITE + WRONG_TYPE + [0, -1],
     "run.workers": NON_FINITE + WRONG_TYPE + [0],
     "analysis.paths": NON_FINITE + WRONG_TYPE + [-1, 1.5],
-    "analysis.eta": NON_FINITE,
+    "analysis.eta": NON_FINITE + WRONG_TYPE + [0, -0.5],
+    "analysis.replicas": NON_FINITE + WRONG_TYPE + [1, 2.5],
+    "analysis.burn_in": NON_FINITE + WRONG_TYPE + [-1.0],
+    "analysis.pilot_horizon": NON_FINITE + WRONG_TYPE[:4] + [0, -2.0],
+    "analysis.observable": ["x", None, [1], {"kind": "entropy"}, {"slot": "x", "k": [0, 1]},
+                            {"k": [0, -1]}, {"k": [0, 1], "scale": "big"},
+                            {"k": [0, 1], "parity": 2}, {}],
+    "analysis.initial_state": ["x", {"k": [0, 1]}, [None], [{"slot": "x", "k": [0, 1]}],
+                               [{"k": [0, 0]}], [{"k": [0, 1], "amplitude": "big"}],
+                               [{"k": [0, 1], "amp": 1.0}]],
+    "analysis.track_modes": ["x", [None], [{"k": [0, 0]}], [{"k": [0, 1], "amplitude": 1.0}]],
+    "analysis.u0_a": [1, [{"k": [-1, 0]}], [{"k": [0, 1], "amplitude": [1.0]}]],
+    "analysis.u0_b": [{"k": [0, 1]}, [{"k": [1, 1], "parity": True}]],
     "analysis.cone_alpha": NON_FINITE + WRONG_TYPE[:4] + [0, -0.5, 2],
     "analysis.cone_n": NON_FINITE + WRONG_TYPE[:4] + [0, 1.5],
     "analysis.cone_samples": NON_FINITE + WRONG_TYPE[:4] + [-5, 2.5],
     "analysis.basis_level": NON_FINITE + WRONG_TYPE[:4] + [0, -1],
     "analysis.profile_modes": ["x", {"k": [0, 1]}, [None], [{"slot": "x", "k": [0, 1]}],
-                               [{"k": [9, 9]}], [{"k": [0, -1]}], [{"k": [0, 0]}],
+                               [{"k": [0, -1]}], [{"k": [0, 0]}],
                                [{"k": [0, 1], "parity": 2}], [{"k": [0, 1], "parity": True}],
                                [{"k": [1]}], [{"k": [0, 1], "amplitude": 1.0}]],
     "noise.z0[0].amplitudes": [[v, 1.0] for v in NON_FINITE + ["x", None, True]],
@@ -399,16 +421,22 @@ class TestMalformedConfigContract:
         pytest.param("analysis.cone_samples=-5", id="cone_samples_negative"),
         pytest.param("analysis.cone_alpha=2", id="cone_alpha_above_1"),
         pytest.param("analysis.cone_n=0", id="cone_n_zero"),
-        pytest.param('analysis.basis_level="x"', id="basis_level_string")])
+        pytest.param('analysis.basis_level="x"', id="basis_level_string"),
+        pytest.param('analysis.observable={"slot":"x","k":[0,1]}', id="observable_slot"),
+        pytest.param('analysis.replicas="many"', id="replicas_string"),
+        pytest.param('analysis.initial_state=[{"slot":"magnetic","k":[9,9]}]',
+                     id="initial_state_k_outside"),
+        pytest.param('analysis.burn_in="x"', id="burn_in_string")])
     def test_example_config_probes_exit_2(self, tmp_path, capsys, override):
         example = Path(__file__).resolve().parents[1] / "config.example.json"
-        out = tmp_path / "out"
-        code = main(["malliavin", "--config", str(example), "--out", str(out),
-                     "--set", override])
-        assert code == 2
-        violations = json.loads(capsys.readouterr().err)["violations"]
-        assert any(override.partition("=")[0] in v for v in violations), violations
-        assert not out.exists()
+        for command in ("malliavin", "clt"):  # validation does not depend on the command
+            out = tmp_path / command
+            code = main([command, "--config", str(example), "--out", str(out),
+                         "--set", override])
+            assert code == 2
+            violations = json.loads(capsys.readouterr().err)["violations"]
+            assert any(override.partition("=")[0] in v for v in violations), violations
+            assert not out.exists()
 
     def test_negative_seed_flag_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, small_config())

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from torusmhd import galerkin
 from torusmhd.galerkin import (
     EMPTY_NOISE,
     EquationParams,
@@ -332,6 +333,50 @@ class TestSimulate:
             simulate(huge, params, noise, 5.0, seed=0)
         assert (err.value.step, err.value.replica) == (1, None)
 
+    @pytest.mark.parametrize("amplitude, noise_amp, streams, stride, block, expect", [
+        pytest.param(1e200, 1.0, [4, 7], 1, None, (1, 4), id="first_step"),
+        pytest.param(0.0, 10**103.4, [0, 1, 5, 7], 2, None, (3, 5), id="off_snapshot_grid"),
+        pytest.param(0.0, 10**103.4, [0, 1, 5, 7], 1, 2, (3, 5), id="second_noise_block"),
+    ])
+    def test_blowup_matches_per_step_reference(self, monkeypatch, amplitude, noise_amp,
+                                               streams, stride, block, expect):
+        # noise of amplitude 10^103.4 overflows stream 5 at step 3 and the
+        # other streams at step 4; the first case blows up in the first step
+        basis = ModeBasis(2)
+        params = make_params(n_cut=2, dt=1.0, alpha=1.01, beta=1.01)
+        u0 = SpectralState(basis, amplitude * np.ones(basis.dim))
+        noise = NoiseSpec.uniform([(0, 1), (1, 1)], noise_amp)
+        n_steps = 6
+
+        def reference(stream):
+            """(step, last finite norm) of chained steps on the stream's increments."""
+            rng = np.random.default_rng(trajectory_seed(0, stream))
+            state = u0
+            for n, dw in enumerate(rng.standard_normal((n_steps, noise.dim)), 1):
+                try:
+                    state = step(state, params, noise, dw * math.sqrt(params.dt))
+                except SimulationError:
+                    return n, math.hypot(*state.coeffs)
+            return n_steps + 1, None
+
+        with np.errstate(all="ignore"):
+            refs = [reference(s) for s in streams]
+            first = min(range(len(streams)), key=lambda i: refs[i][0])  # earliest, then row
+            want_step, want_norm = refs[first]
+            assert (want_step, streams[first]) == expect  # off the stride-2 grid
+            if block is not None:  # increments in blocks of 2 steps: step 3 is in the second
+                monkeypatch.setattr(galerkin, "NOISE_BLOCK", block * len(streams) * noise.dim)
+            with pytest.raises(SimulationError) as err:
+                list(ensemble(u0, params, noise, n_steps * params.dt, seed=0, streams=streams,
+                              snapshot_stride=stride))
+            assert (err.value.step, err.value.replica, err.value.last_norm, err.value.time) == \
+                (want_step, streams[first], want_norm, want_step * params.dt)
+            with pytest.raises(SimulationError) as err:
+                simulate(u0, params, noise, n_steps * params.dt,
+                         seed=trajectory_seed(0, streams[first]), snapshot_stride=stride)
+            assert (err.value.step, err.value.replica, err.value.last_norm) == \
+                (want_step, None, want_norm)
+
     def test_snapshot_grid_keeps_last_step(self):
         assert snapshot_steps(6, 2) == [0, 2, 4, 6]
         assert snapshot_steps(7, 3) == [0, 3, 6, 7]
@@ -349,6 +394,27 @@ class TestSimulate:
                            snapshot_stride=2)
             assert np.array_equal([t for t, _ in snaps], rec.times)
             assert np.array_equal([c[row] for _, c in snaps], rec.states)
+
+
+    @pytest.mark.parametrize("n_cut, nonlinear, given", [
+        pytest.param(2, False, False, id="linear"),
+        pytest.param(3, True, False, id="triad_route"),
+        pytest.param(5, True, False, id="fft_route"),
+        pytest.param(3, True, True, id="given_increments"),
+    ])
+    def test_simulate_equals_chained_steps(self, n_cut, nonlinear, given):
+        basis = ModeBasis(n_cut)
+        params = make_params(n_cut=n_cut, dt=0.01, nonlinearity_enabled=nonlinear)
+        noise = NoiseSpec.uniform([(0, 1), (1, 1)], 1.0)
+        u0 = SpectralState(basis, 0.3 * np.random.default_rng(5).standard_normal(basis.dim))
+        dws = np.random.default_rng(6).standard_normal((20, noise.dim)) * 0.1 if given else None
+        rec = simulate(u0, params, noise, 0.2, seed=8, store_noise=True, increments=dws)
+        state = u0
+        for n, dw in enumerate(rec.noise_increments, 1):
+            state = step(state, params, noise, dw)
+            assert np.array_equal(state.coeffs, rec.states[n])
+            assert state.time == pytest.approx(rec.times[n])  # summed, not t0 + n dt
+        assert n == 20
 
 
 class TestEnergyBalance:
