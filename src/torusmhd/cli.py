@@ -5,6 +5,12 @@ Every run writes its artifacts (CSV time series, JSON reports) plus one
 times, and a SHA-256 digest of every emitted file.  Data artifacts are byte
 deterministic given (config, seed) and independent of ``--workers``;
 the manifest's wall times are the only run-specific metadata.
+
+``main`` hands each subcommand one :class:`OutputDir`, which makes the
+``--out`` directory on its first write: a run that ends before it has
+anything to write (exit 2 on bad input, exit 3 on a blow-up) leaves no
+directory behind.  A subcommand only computes and writes; it returns the
+config echo of its manifest and its exit code, and ``main`` finalizes.
 """
 
 from __future__ import annotations
@@ -14,7 +20,6 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -58,43 +63,44 @@ EXIT_BLOWUP = 3
 # Artifact bookkeeping.
 # ---------------------------------------------------------------------------
 
-@dataclass
 class OutputDir:
-    path: Path
-    artifacts: list[str]
+    """The artifacts of one run, and the clock of that run.
 
-    @classmethod
-    def create(cls, path: str) -> "OutputDir":
-        p = Path(path)
-        p.mkdir(parents=True, exist_ok=True)
-        return cls(path=p, artifacts=[])
+    The start time is taken when the object is made.  The directory is made
+    by the first write, so a run that fails before it writes leaves none.
+    ``artifacts`` maps each written file to the SHA-256 of its bytes.
+    """
+
+    def __init__(self, path: str):
+        self.path = Path(path)
+        self.artifacts: dict[str, str] = {}
+        self.started = time.time()
+
+    def _write(self, name: str, text: str) -> None:
+        data = text.encode("utf-8")
+        self.path.mkdir(parents=True, exist_ok=True)
+        (self.path / name).write_bytes(data)
+        self.artifacts[name] = hashlib.sha256(data).hexdigest()
 
     def write_json(self, name: str, payload) -> None:
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        (self.path / name).write_text(text, encoding="utf-8")
-        self.artifacts.append(name)
+        self._write(name, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
     def write_csv(self, name: str, header: list[str], rows) -> None:
         lines = [",".join(header)]
         for row in rows:
             lines.append(",".join(_cell(v) for v in row))
-        (self.path / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
-        self.artifacts.append(name)
+        self._write(name, "\n".join(lines) + "\n")
 
-    def finalize(self, config_echo, started: float) -> None:
-        digests = {}
-        for name in sorted(self.artifacts):
-            digests[name] = hashlib.sha256((self.path / name).read_bytes()).hexdigest()
-        manifest = {
+    def finalize(self, config_echo) -> None:
+        """Write ``manifest.json``: config echo, version, wall times and digests."""
+        self.write_json("manifest.json", {
             "tool": "torusmhd",
             "version": __version__,
             "config": config_echo,
-            "started_at": started,
+            "started_at": self.started,
             "finished_at": time.time(),
-            "artifacts": digests,
-        }
-        (self.path / "manifest.json").write_text(
-            json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+            "artifacts": dict(self.artifacts),
+        })
 
 
 def _cell(v) -> str:
@@ -136,9 +142,11 @@ def _observable(cfg: ExperimentConfig) -> Observable:
     return Observable(kind=kind, mode=_mode(spec), scale=float(spec.get("scale", 1.0)))
 
 
-def _state_from_spec(entries, basis: ModeBasis) -> SpectralState:
+def _state(cfg: ExperimentConfig, basis: ModeBasis,
+           key: str = "initial_state") -> SpectralState:
+    """The state listed by ``analysis[key]``; zero when the key is absent."""
     state = zero_state(basis)
-    for entry in entries or []:
+    for entry in cfg.analysis.get(key) or []:
         state.coeffs[basis.mode_index(_mode(entry))] = float(entry.get("amplitude", 1.0))
     return state
 
@@ -157,21 +165,31 @@ def _load_config(args) -> tuple[ExperimentConfig, ModeBasis]:
         overrides[key] = value
     if args.seed is not None:
         overrides["run.seed"] = args.seed
-    if getattr(args, "workers", None) is not None:
+    if args.workers is not None:
         overrides["run.workers"] = args.workers
     cfg = parse_config(args.config, overrides)
     return cfg, ModeBasis(cfg.equation.n_cut, cfg.equation.grid)
 
 
+def _config_command(compute):
+    """A subcommand run from ``--config``: ``compute(cfg, basis, out)`` only computes
+    and writes; its manifest echoes the parsed config document."""
+
+    def run(args, out: OutputDir) -> tuple[dict, int]:
+        cfg, basis = _load_config(args)
+        compute(cfg, basis, out)
+        return cfg.raw, EXIT_OK
+
+    return run
+
+
 # ---------------------------------------------------------------------------
-# Subcommands.
+# Subcommands.  Each takes (args, out) and returns (config echo, exit code).
 # ---------------------------------------------------------------------------
 
-def cmd_bracket(args) -> int:
-    started = time.time()
+def cmd_bracket(args, out: OutputDir) -> tuple[dict, int]:
     if args.kmax < 1:
         raise ConfigError([f"--kmax must be >= 1 (got {args.kmax})"])
-    out = OutputDir.create(args.out)
     reports = verification_sweep(args.kmax)
     constants = [r.pinned_constant for r in reports
                  if r.selection_ok and np.isfinite(r.pinned_constant)]
@@ -184,9 +202,8 @@ def cmd_bracket(args) -> int:
     }
     out.write_json("bracket_verify.json",
                    {"summary": summary, "reports": [r.to_dict() for r in reports]})
-    out.finalize({"kmax": args.kmax}, started)
     print(json.dumps(summary, sort_keys=True))
-    return EXIT_OK if summary["all_selection_ok"] else EXIT_ERROR
+    return {"kmax": args.kmax}, EXIT_OK if summary["all_selection_ok"] else EXIT_ERROR
 
 
 def _reach_inputs(args) -> tuple[ForcedSet, list[tuple[int, int]]]:
@@ -213,10 +230,8 @@ def _reach_inputs(args) -> tuple[ForcedSet, list[tuple[int, int]]]:
     return forced, targets
 
 
-def cmd_reach(args) -> int:
-    started = time.time()
+def cmd_reach(args, out: OutputDir) -> tuple[dict, int]:
     forced, targets = _reach_inputs(args)
-    out = OutputDir.create(args.out)
     report = check_hypothesis(forced, args.radius, args.max_depth)
     payload = {"z0": sorted(list(v) for v in forced.z0), "report": report.to_dict()}
     if targets:
@@ -227,10 +242,8 @@ def cmd_reach(args) -> int:
                 certs.append(cert.to_dict())
         payload["certificates"] = certs
     out.write_json("reach_report.json", payload)
-    out.finalize({"z0": args.z0, "radius": args.radius,
-                  "max_depth": args.max_depth}, started)
     print(json.dumps(report.to_dict(), sort_keys=True))
-    return EXIT_OK
+    return {"z0": args.z0, "radius": args.radius, "max_depth": args.max_depth}, EXIT_OK
 
 
 def _tracked_modes(cfg: ExperimentConfig, basis: ModeBasis):
@@ -240,14 +253,11 @@ def _tracked_modes(cfg: ExperimentConfig, basis: ModeBasis):
     return [(m, basis.mode_index(m)) for m in modes]
 
 
-def cmd_simulate(args) -> int:
-    started = time.time()
-    cfg, basis = _load_config(args)
-    u0 = _state_from_spec(cfg.analysis.get("initial_state"), basis)
+@_config_command
+def cmd_simulate(cfg: ExperimentConfig, basis: ModeBasis, out: OutputDir) -> None:
     tracked = _tracked_modes(cfg, basis)
-    out = OutputDir.create(args.out)
-    rec = simulate(u0, cfg.equation, cfg.noise, cfg.run.horizon, cfg.run.seed,
-                   snapshot_stride=cfg.run.snapshot_stride)
+    rec = simulate(_state(cfg, basis), cfg.equation, cfg.noise, cfg.run.horizon,
+                   cfg.run.seed, snapshot_stride=cfg.run.snapshot_stride)
     header = ["time", "total_energy"] + [m.label() for m, _ in tracked]
     energy = (rec.states**2).sum(axis=1)
     rows = [
@@ -262,14 +272,11 @@ def cmd_simulate(args) -> int:
         "dim": basis.dim,
         "forcing_trace": cfg.noise.e0(),
     })
-    out.finalize(cfg.raw, started)
-    return EXIT_OK
 
 
-def cmd_malliavin(args) -> int:
-    started = time.time()
-    cfg, basis = _load_config(args)
-    u0 = _state_from_spec(cfg.analysis.get("initial_state"), basis)
+@_config_command
+def cmd_malliavin(cfg: ExperimentConfig, basis: ModeBasis, out: OutputDir) -> None:
+    u0 = _state(cfg, basis)
     analysis = cfg.analysis
     cone = ConeSpec(alpha=float(analysis.get("cone_alpha", 0.5)),
                     n=analysis.get("cone_n", 1))
@@ -280,7 +287,6 @@ def cmd_malliavin(args) -> int:
     probes = None
     if profile_modes:
         probes = np.array([unit_mode_state(basis, m).coeffs for m in profile_modes])
-    out = OutputDir.create(args.out)
 
     per_path = []
     spectra = []
@@ -317,64 +323,46 @@ def cmd_malliavin(args) -> int:
         rows = [[float(t)] + [float(v) for v in flat[i]] for i, t in enumerate(times)]
         out.write_csv("response_profiles.csv", header, rows)
 
-    out.finalize(cfg.raw, started)
-    return EXIT_OK
 
-
-def cmd_lln(args) -> int:
-    started = time.time()
-    cfg, basis = _load_config(args)
-    u0 = _state_from_spec(cfg.analysis.get("initial_state"), basis)
+@_config_command
+def cmd_lln(cfg: ExperimentConfig, basis: ModeBasis, out: OutputDir) -> None:
     obs = _observable(cfg)
     burn_in = float(cfg.analysis.get("burn_in", 0.0))
-    out = OutputDir.create(args.out)
-    rec = simulate(u0, cfg.equation, cfg.noise, cfg.run.horizon, cfg.run.seed,
-                   snapshot_stride=cfg.run.snapshot_stride)
+    rec = simulate(_state(cfg, basis), cfg.equation, cfg.noise, cfg.run.horizon,
+                   cfg.run.seed, snapshot_stride=cfg.run.snapshot_stride)
     report = time_average(rec, obs, burn_in=burn_in)
     values = obs.of_states(basis, rec.states)
     out.write_csv("lln_timeseries.csv", ["time", "observable"],
                   [[float(t), float(v)] for t, v in zip(rec.times, values)])
     out.write_json("lln_report.json", report.to_dict())
-    out.finalize(cfg.raw, started)
-    return EXIT_OK
 
 
-def cmd_clt(args) -> int:
-    started = time.time()
-    cfg, basis = _load_config(args)
-    u0 = _state_from_spec(cfg.analysis.get("initial_state"), basis)
+@_config_command
+def cmd_clt(cfg: ExperimentConfig, basis: ModeBasis, out: OutputDir) -> None:
     obs = _observable(cfg)
     replicas = int(cfg.analysis.get("replicas", max(cfg.run.ensemble_size, 50)))
-    out = OutputDir.create(args.out)
-    report = clt_sample(u0, cfg.equation, cfg.noise, obs, cfg.run.horizon,
+    report = clt_sample(_state(cfg, basis), cfg.equation, cfg.noise, obs, cfg.run.horizon,
                         replicas, cfg.run.seed,
                         pilot_horizon=cfg.analysis.get("pilot_horizon"),
                         burn_in=float(cfg.analysis.get("burn_in", 0.0)),
-                        snapshot_stride=cfg.run.snapshot_stride,
-                        workers=cfg.run.workers)
+                        snapshot_stride=cfg.run.snapshot_stride)
     out.write_csv("clt_samples.csv", ["replica", "normalized_integral"],
                   [[i, float(v)] for i, v in enumerate(report.samples)])
     payload = report.to_dict()
     payload.pop("samples")
     out.write_json("clt_report.json", payload)
-    out.finalize(cfg.raw, started)
-    return EXIT_OK
 
 
-def cmd_mix(args) -> int:
-    started = time.time()
-    cfg, basis = _load_config(args)
-    u0_a = _state_from_spec(cfg.analysis.get("u0_a"), basis)
-    u0_b = _state_from_spec(cfg.analysis.get("u0_b"), basis)
+@_config_command
+def cmd_mix(cfg: ExperimentConfig, basis: ModeBasis, out: OutputDir) -> None:
+    u0_a, u0_b = _state(cfg, basis, "u0_a"), _state(cfg, basis, "u0_b")
     if np.array_equal(u0_a.coeffs, u0_b.coeffs):
         raise ConfigError(["mix requires distinct initial states u0_a and u0_b"])
     obs = _observable(cfg)
     replicas = int(cfg.analysis.get("replicas", max(cfg.run.ensemble_size, 100)))
-    out = OutputDir.create(args.out)
     report = mixing_decay_estimate(u0_a, u0_b, cfg.equation, cfg.noise, obs,
                                    cfg.run.horizon, replicas, cfg.run.seed,
-                                   snapshot_stride=cfg.run.snapshot_stride,
-                                   workers=cfg.run.workers)
+                                   snapshot_stride=cfg.run.snapshot_stride)
     out.write_csv("mix_decay.csv", ["time", "abs_diff", "noise_floor"],
                   [[float(t), float(d), float(f)]
                    for t, d, f in zip(report.times, report.abs_diff, report.noise_floor)])
@@ -382,17 +370,13 @@ def cmd_mix(args) -> int:
     for key in ("times", "abs_diff", "noise_floor"):
         payload.pop(key)
     out.write_json("mix_report.json", payload)
-    out.finalize(cfg.raw, started)
-    return EXIT_OK
 
 
-def cmd_moment(args) -> int:
-    started = time.time()
-    cfg, basis = _load_config(args)
-    u0 = _state_from_spec(cfg.analysis.get("initial_state"), basis)
+@_config_command
+def cmd_moment(cfg: ExperimentConfig, basis: ModeBasis, out: OutputDir) -> None:
+    u0 = _state(cfg, basis)
     eta = float(cfg.analysis.get("eta", 0.01))
     n_traj = cfg.run.ensemble_size
-    out = OutputDir.create(args.out)
     probes = exp_moment_ensemble(u0, cfg.equation, cfg.noise, cfg.run.horizon, n_traj,
                                  cfg.run.seed, eta, snapshot_stride=cfg.run.snapshot_stride)
     times = probes[0].times
@@ -411,8 +395,6 @@ def cmd_moment(args) -> int:
         "trajectories": n_traj,
         "log_statistic_final_mean": float(logs[:, -1].mean()),
     })
-    out.finalize(cfg.raw, started)
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -460,8 +442,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    out = OutputDir(args.out)
     try:
-        return args.func(args)
+        config_echo, code = args.func(args, out)
+        out.finalize(config_echo)
+        return code
     except ConfigError as exc:
         print(json.dumps({"error": "config", "violations": exc.violations}),
               file=sys.stderr)

@@ -35,7 +35,6 @@ class RunParams:
     seed: int
     snapshot_stride: int = 1
     ensemble_size: int = 1
-    workers: int = 1
 
 
 @dataclass
@@ -245,7 +244,7 @@ def validate_config(doc: dict) -> ExperimentConfig:
     ensemble = run_doc.get("ensemble_size", 1)
     if not _is_int(ensemble) or ensemble < 1:
         errors.append("run.ensemble_size must be a positive integer")
-    workers = run_doc.get("workers", 1)
+    workers = run_doc.get("workers", 1)  # validated for compatibility; nothing reads it
     if not _is_int(workers) or workers < 1:
         errors.append("run.workers must be a positive integer")
     _check_whole_steps("run.T", horizon, dt, errors)
@@ -264,7 +263,7 @@ def validate_config(doc: dict) -> ExperimentConfig:
                             dt=float(dt), nonlinearity_enabled=nonlin, grid=grid)
     noise = NoiseSpec.from_amplitudes(amplitudes)
     run = RunParams(horizon=float(horizon), seed=seed, snapshot_stride=stride,
-                    ensemble_size=ensemble, workers=workers)
+                    ensemble_size=ensemble)
     return ExperimentConfig(equation=params, noise=noise, run=run,
                             analysis=analysis, raw=doc)
 

@@ -14,8 +14,7 @@ Replica ensembles step all their trajectories in one time loop
 (``galerkin.ensemble``) and reduce each snapshot to the observable values
 they need as the loop steps, so no ensemble holds its trajectories' states.
 Each replica's values equal those of a lone ``simulate`` on its stream, so
-the batching changes no result.  The ``workers`` arguments are accepted for
-compatibility; results and speed do not depend on them.
+the batching changes no result.
 
 In the linear regime (nonlinearity disabled) every forced mode is an exactly
 discretized Ornstein-Uhlenbeck process, which supplies closed-form oracles:
@@ -212,7 +211,7 @@ def ks_against_fitted_normal(samples: np.ndarray) -> tuple[float, float]:
 def clt_sample(u0: SpectralState, params: EquationParams, noise: NoiseSpec,
                obs: Observable, horizon: float, n_replicas: int, seed: int,
                pilot_horizon: Optional[float] = None, burn_in: float = 0.0,
-               snapshot_stride: int = 1, workers: int = 1) -> CltReport:
+               snapshot_stride: int = 1) -> CltReport:
     """Normalized-deviation samples of the time integral across replicas.
 
     The centering constant comes from one long pilot run; each replica then
@@ -275,7 +274,7 @@ def mixing_decay_estimate(u0_a: SpectralState, u0_b: SpectralState,
                           params: EquationParams, noise: NoiseSpec,
                           obs: Observable, horizon: float, n_replicas: int,
                           seed: int, snapshot_stride: int = 1,
-                          snr: float = 3.0, workers: int = 1) -> MixingReport:
+                          snr: float = 3.0) -> MixingReport:
     """Log-linear decay rate of |E_a Phi(U_t) - E_b Phi(U_t)| from two ensembles.
 
     Points whose ensemble difference falls below ``snr`` combined standard

@@ -50,7 +50,7 @@ from .galerkin import (
     bilinear_convolution,
     triad_table,
 )
-from .lattice import MAGNETIC, VELOCITY, Mode, norm_sq
+from .lattice import COS, MAGNETIC, SIN, VELOCITY, Mode, is_canonical, make_mode, norm_sq
 from .reachability import ForcedSet, parity_unions
 
 
@@ -213,14 +213,18 @@ def _trapezoid_weights(n: int, dt: float) -> np.ndarray:
 
 def malliavin_quadratic_form(path: FrozenPath, noise: NoiseSpec,
                              phi: SpectralState) -> float:
-    """<M_{0,T} phi, phi>: forced-mode response energy of the backward flow."""
-    T = float(path.record.times[-1])
-    t0 = float(path.record.times[0])
-    levels = adjoint_profile(path, phi.coeffs, t0, T)
+    """<M_{0,T} phi, phi>: forced-mode response energy of the backward flow.
+
+    Sums w_n amp^2 (K_{n,T} phi)_e^2 level by level as one backward sweep
+    runs, so no level is stored.
+    """
     idx = noise.mode_indices(path.basis)
-    f = levels[:, idx]  # (n+1, d)
     w = _trapezoid_weights(path.n_steps, path.dt)
-    return float(np.einsum("ne,n,e->", f**2, w, noise.amplitudes() ** 2))
+    amp_sq = noise.amplitudes() ** 2
+    total = 0.0
+    for n, rho in _backward_sweep(path, phi.coeffs, 0, path.n_steps):
+        total += w[n] * float(rho[idx] ** 2 @ amp_sq)
+    return total
 
 
 def assemble_malliavin(path: FrozenPath, noise: NoiseSpec,
@@ -323,19 +327,7 @@ def cone_infimum(matrix: MalliavinMatrix, cone: ConeSpec, samples: int = 200,
         vq[q_idx] = evecs_q[:, 0]
         # boundary candidate: minimal P-direction mixed with minimal Q-direction
         candidates.append(math.sqrt(cone.alpha) * vp + math.sqrt(1.0 - cone.alpha) * vq)
-    for _ in range(samples):
-        xp = rng.standard_normal(p_idx.size)
-        xp /= np.linalg.norm(xp)
-        phi = np.zeros(dim)
-        if q_idx.size:
-            t = cone.alpha + (1.0 - cone.alpha) * rng.random()
-            xq = rng.standard_normal(q_idx.size)
-            xq /= np.linalg.norm(xq)
-            phi[p_idx] = math.sqrt(t) * xp
-            phi[q_idx] = math.sqrt(1.0 - t) * xq
-        else:
-            phi[p_idx] = xp
-        candidates.append(phi)
+    candidates.extend(_cone_point(rng, in_p, cone.alpha) for _ in range(samples))
     sampled = float(min(phi @ g @ phi for phi in candidates))
 
     # weak duality: for unit phi on the cone and mu >= 0,
@@ -379,34 +371,44 @@ def unstable_quadratic_form(state: SpectralState, forced: ForcedSet, depth: int)
         math.ceil(2.0 * forced.max_modulus()) * (n_gen + 1), 4 * basis.n_cut
     )
     even, odd = parity_unions(forced, n_gen, window_bound=window)
+    c = state.coeffs
     total = 0.0
     for slot, union in ((MAGNETIC, even), (VELOCITY, odd)):
         seen = set()
         for v in union:
-            k = v if (v[0] > 0 or (v[0] == 0 and v[1] > 0)) else (-v[0], -v[1])
+            k = v if is_canonical(v) else (-v[0], -v[1])
             if k in seen or norm_sq(k) > basis.n_cut**2:
                 continue
             seen.add(k)
-            j = basis._kindex[k]
-            base = slot * 2 * basis.n_k + 2 * j
-            total += float(state.coeffs[base] ** 2 + state.coeffs[base + 1] ** 2)
+            i_cos = basis.mode_index(make_mode(slot, k, COS))
+            i_sin = basis.mode_index(make_mode(slot, k, SIN))
+            total += float(c[i_cos] ** 2 + c[i_sin] ** 2)
     return total
+
+
+def _cone_point(rng, inside: np.ndarray, alpha: float) -> np.ndarray:
+    """Random unit vector on the cone over the boolean mask ``inside``.
+
+    A fraction t of its squared norm, uniform in [alpha, 1], lies inside the
+    mask and the rest outside; all of it when the mask covers every index.
+    """
+    n_in = np.count_nonzero(inside)
+    xp = rng.standard_normal(n_in)
+    xp /= np.linalg.norm(xp)
+    phi = np.zeros(inside.size)
+    if n_in == inside.size:
+        phi[inside] = xp
+        return phi
+    t = alpha + (1.0 - alpha) * rng.random()
+    xq = rng.standard_normal(inside.size - n_in)
+    xq /= np.linalg.norm(xq)
+    phi[inside] = math.sqrt(t) * xp
+    phi[~inside] = math.sqrt(1.0 - t) * xq
+    return phi
 
 
 def sample_cone_state(basis: ModeBasis, cone: ConeSpec, rng) -> SpectralState:
     """Random unit state on the cone (uniform mixing fraction in [alpha, 1])."""
-    sel = basis.level_indices(cone.n)
-    mask = np.zeros(basis.dim, dtype=bool)
-    mask[sel] = True
-    xp = rng.standard_normal(int(mask.sum()))
-    xp /= np.linalg.norm(xp)
-    coeffs = np.zeros(basis.dim)
-    if mask.all():
-        coeffs[mask] = xp
-    else:
-        t = cone.alpha + (1.0 - cone.alpha) * rng.random()
-        xq = rng.standard_normal(int((~mask).sum()))
-        xq /= np.linalg.norm(xq)
-        coeffs[mask] = math.sqrt(t) * xp
-        coeffs[~mask] = math.sqrt(1.0 - t) * xq
-    return SpectralState(basis, coeffs)
+    inside = np.zeros(basis.dim, dtype=bool)
+    inside[basis.level_indices(cone.n)] = True
+    return SpectralState(basis, _cone_point(rng, inside, cone.alpha))

