@@ -18,10 +18,8 @@ from .lattice import (  # noqa: F401
     VELOCITY,
     Mode,
     canonical_rep,
-    eval_basis_field,
     make_mode,
     pairing_coefficient,
-    project_onto_mode,
 )
 from .brackets import (  # noqa: F401
     DirectionExpansion,
@@ -52,7 +50,6 @@ from .galerkin import (  # noqa: F401
     energy_balance_residual,
     ensemble,
     simulate,
-    step,
     unit_mode_state,
     zero_state,
 )

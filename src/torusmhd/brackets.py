@@ -292,18 +292,17 @@ def magnetic_direction(k: Vec, l: Vec, combo: str) -> DirectionExpansion:
 # Independent numerical verification.
 # ---------------------------------------------------------------------------
 
-def _pair_quadrature(k: Vec, l: Vec, grid: Optional[int]) -> tuple[list[Vec], np.ndarray]:
+def _pair_quadrature(k: Vec, l: Vec) -> tuple[list[Vec], np.ndarray]:
     """Grid projections of all eight (slot, combo) fields of the pair (k, l).
 
-    Samples the four basis fields on the grid, differentiates them by one
-    batched FFT, forms the eight advections pointwise and combines them by
-    :data:`_COMBO_TABLE`; every combo field is then projected onto every
-    candidate mode by :func:`project_onto_modes`.  Returns the candidate
-    wavevectors and the projections indexed [slot, combo, candidate, parity].
+    Samples the four basis fields on a grid of 4 (|k|_inf + |l|_inf) + 4
+    points per axis, differentiates them by one batched FFT, forms the eight
+    advections pointwise and combines them by :data:`_COMBO_TABLE`; every
+    combo field is then projected onto every candidate mode by
+    :func:`project_onto_modes`.  Returns the candidate wavevectors and the
+    projections indexed [slot, combo, candidate, parity].
     """
-    if grid is None:
-        grid = 4 * (max(abs(k[0]), abs(k[1])) + max(abs(l[0]), abs(l[1]))) + 4
-    grid += grid % 2
+    grid = 4 * (max(abs(k[0]), abs(k[1])) + max(abs(l[0]), abs(l[1]))) + 4
     x1, x2 = grid_mesh(grid)
     fields = np.stack([field_values(q, p, x1, x2) for q in (k, l) for p in (COS, SIN)])
     freq = np.fft.fftfreq(grid, d=1.0 / grid)
@@ -357,11 +356,10 @@ def _candidate_wavevectors(k: Vec, l: Vec) -> list[Vec]:
 
 
 def _report(k: Vec, l: Vec, combo: str, slot: int, symbolic: DirectionExpansion,
-            candidates: list[Vec], projections: np.ndarray,
-            zero_tol: float) -> VerificationReport:
+            candidates: list[Vec], projections: np.ndarray) -> VerificationReport:
     """Compare a symbolic expansion with its (candidate, parity) projections."""
     magnitudes = np.abs(projections)
-    surviving = magnitudes > zero_tol
+    surviving = magnitudes > 1e-10  # smaller projections count as vanishing
     if symbolic.degenerate is not None or symbolic.is_empty():
         return VerificationReport(
             k, l, combo, slot, selection_ok=not surviving.any(),
@@ -388,10 +386,7 @@ def _report(k: Vec, l: Vec, combo: str, slot: int, symbolic: DirectionExpansion,
     )
 
 
-def verify_bracket_identity(
-    k: Vec, l: Vec, combo: str, slot: int, grid: Optional[int] = None,
-    zero_tol: float = 1e-10,
-) -> VerificationReport:
+def verify_bracket_identity(k: Vec, l: Vec, combo: str, slot: int) -> VerificationReport:
     """Cross-check one symbolic direction against brute-force grid projection.
 
     The brute-force route samples the basis fields pointwise, differentiates
@@ -405,12 +400,12 @@ def verify_bracket_identity(
     (unit-basis convention).
     """
     symbolic = _direction_expansion(k, l, combo, slot)
-    candidates, projections = _pair_quadrature(k, l, grid)
+    candidates, projections = _pair_quadrature(k, l)
     return _report(k, l, combo, slot, symbolic, candidates,
-                   projections[slot, COMBOS.index(combo)], zero_tol)
+                   projections[slot, COMBOS.index(combo)])
 
 
-def verification_sweep(kmax: int, grid: Optional[int] = None) -> list[VerificationReport]:
+def verification_sweep(kmax: int) -> list[VerificationReport]:
     """All (k, l, combo, slot) reports with nonzero |k|, |l| <= kmax.
 
     Each (k, l) pair runs one quadrature for its eight reports.
@@ -423,8 +418,8 @@ def verification_sweep(kmax: int, grid: Optional[int] = None) -> list[Verificati
     ]
     reports = []
     for k, l in itertools.product(points, repeat=2):
-        candidates, projections = _pair_quadrature(k, l, grid)
+        candidates, projections = _pair_quadrature(k, l)
         reports += [_report(k, l, combo, slot, _direction_expansion(k, l, combo, slot),
-                            candidates, projections[slot, c], zero_tol=1e-10)
+                            candidates, projections[slot, c])
                     for slot in (VELOCITY, MAGNETIC) for c, combo in enumerate(COMBOS)]
     return reports

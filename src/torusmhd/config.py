@@ -79,9 +79,9 @@ def _check_finite(node, where: str, errors: list[str]) -> None:
 
 
 def _check_keys(section: dict, allowed: set, where: str, errors: list[str]) -> None:
-    for key in section:
-        if key not in allowed:
-            errors.append(f"unknown key {key!r} in {where}")
+    """Report every key of ``section`` outside ``allowed`` by its dotted path."""
+    prefix = f"{where}." if where else ""
+    errors += [f"unknown key {key!r} at {prefix}{key}" for key in section if key not in allowed]
 
 
 def _check_mode_entry(entry, n_cut: Optional[int], where: str, errors: list, numbers=()):
@@ -126,8 +126,14 @@ _ANALYSIS_NUMBERS = {
 }
 
 
+#: The ``analysis`` entries that list mode objects.
+_MODE_LISTS = ("initial_state", "u0_a", "u0_b", "track_modes", "profile_modes")
+_ANALYSIS_KEYS = {*_ANALYSIS_NUMBERS, "observable", *_MODE_LISTS}
+
+
 def _check_analysis(analysis: dict, n_cut: Optional[int], dt, errors: list[str]) -> None:
-    """The numbers, observable and mode lists of the ``analysis`` section."""
+    """The keys, numbers, observable and mode lists of the ``analysis`` section."""
+    _check_keys(analysis, _ANALYSIS_KEYS, "analysis", errors)
     for key, (valid, rule) in _ANALYSIS_NUMBERS.items():
         if key in analysis and not valid(analysis[key]):
             errors.append(f"analysis.{key} must be {rule} (got {analysis[key]!r})")
@@ -139,7 +145,7 @@ def _check_analysis(analysis: dict, n_cut: Optional[int], dt, errors: list[str])
     elif kind != "total_energy":
         _check_mode_entry({key: v for key, v in obs.items() if key != "kind"}, n_cut,
                           "analysis.observable", errors, ("scale",))
-    for key in ("initial_state", "u0_a", "u0_b", "track_modes", "profile_modes"):
+    for key in _MODE_LISTS:
         specs = analysis.get(key)
         if specs is not None and not isinstance(specs, list):  # null: the default
             errors.append(f"analysis.{key} must be a list of mode objects")
@@ -153,13 +159,13 @@ def validate_config(doc: dict) -> ExperimentConfig:
     errors: list[str] = []
     if not isinstance(doc, dict):
         raise ConfigError(["top-level document must be an object"])
-    _check_keys(doc, _TOP_KEYS, "top level", errors)
+    _check_keys(doc, _TOP_KEYS, "", errors)
 
     eq = doc.get("equation")
     if not isinstance(eq, dict):
         errors.append("missing 'equation' section")
         eq = {}
-    _check_keys(eq, _EQUATION_KEYS, "'equation'", errors)
+    _check_keys(eq, _EQUATION_KEYS, "equation", errors)
     alpha = eq.get("alpha")
     beta = eq.get("beta")
     n_cut = eq.get("n_cut")
@@ -188,7 +194,7 @@ def validate_config(doc: dict) -> ExperimentConfig:
     if not isinstance(noise_doc, dict):
         errors.append("missing 'noise' section")
         noise_doc = {}
-    _check_keys(noise_doc, _NOISE_KEYS, "'noise'", errors)
+    _check_keys(noise_doc, _NOISE_KEYS, "noise", errors)
     z0 = noise_doc.get("z0")
     amplitudes: dict[tuple, tuple[float, float]] = {}
     if not isinstance(z0, list) or not z0:
@@ -225,12 +231,14 @@ def validate_config(doc: dict) -> ExperimentConfig:
                 errors.append(f"{where}: duplicate forced mode {list(k)}")
                 continue
             amplitudes[k] = (float(amps[0]), float(amps[1]))
+        if not math.isfinite(sum(a * a for pair in amplitudes.values() for a in pair)):
+            errors.append("noise.z0: the sum of squared amplitudes must be finite")
 
     run_doc = doc.get("run")
     if not isinstance(run_doc, dict):
         errors.append("missing 'run' section")
         run_doc = {}
-    _check_keys(run_doc, _RUN_KEYS, "'run'", errors)
+    _check_keys(run_doc, _RUN_KEYS, "run", errors)
     horizon = run_doc.get("T")
     seed = run_doc.get("seed")
     if not _is_number(horizon) or horizon <= 0:

@@ -153,19 +153,19 @@ def cone_seed(master, path: int) -> np.random.SeedSequence:
 # Law of large numbers.
 # ---------------------------------------------------------------------------
 
-def time_average(rec: TrajectoryRecord, obs: Observable, burn_in: float = 0.0,
-                 n_batches: int = 20) -> ErgodicReport:
-    """Trapezoid time average over [burn_in, T] with batch-means error bars."""
+def time_average(rec: TrajectoryRecord, obs: Observable,
+                 burn_in: float = 0.0) -> ErgodicReport:
+    """Trapezoid time average over [burn_in, T] with error bars from 20 batch means."""
     mask = rec.times >= burn_in - 1e-12
     if mask.sum() < 2:
         raise ValueError("averaging window is empty")
     times = rec.times[mask]
     values = obs.of_states(rec.basis, rec.states)[mask]
     estimate = float(np.trapezoid(values, times) / (times[-1] - times[0]))
-    nb = min(n_batches, len(values))
+    nb = min(20, len(values))
     usable = (len(values) // nb) * nb
     batches = values[:usable].reshape(nb, -1).mean(axis=1)
-    se = float(batches.std(ddof=1) / math.sqrt(nb)) if nb > 1 else 0.0
+    se = float(batches.std(ddof=1) / math.sqrt(nb))  # nb >= 2: the window has two points or more
     return ErgodicReport(estimate=estimate, standard_error=se,
                          sample_count=len(values), seed=rec.seed)
 
@@ -273,11 +273,10 @@ class MixingReport:
 def mixing_decay_estimate(u0_a: SpectralState, u0_b: SpectralState,
                           params: EquationParams, noise: NoiseSpec,
                           obs: Observable, horizon: float, n_replicas: int,
-                          seed: int, snapshot_stride: int = 1,
-                          snr: float = 3.0) -> MixingReport:
+                          seed: int, snapshot_stride: int = 1) -> MixingReport:
     """Log-linear decay rate of |E_a Phi(U_t) - E_b Phi(U_t)| from two ensembles.
 
-    Points whose ensemble difference falls below ``snr`` combined standard
+    Points whose ensemble difference falls below three combined standard
     errors are excluded from the fit; if fewer than five usable points
     remain, the report is flagged unidentifiable instead of raising.
     """
@@ -292,7 +291,7 @@ def mixing_decay_estimate(u0_a: SpectralState, u0_b: SpectralState,
     times, mean_a, var_a = run(u0_a, 1)
     _, mean_b, var_b = run(u0_b, 2)
     diff = np.abs(mean_a - mean_b)
-    floor = snr * np.sqrt(var_a + var_b)
+    floor = 3.0 * np.sqrt(var_a + var_b)
 
     usable = diff > floor
     if usable.sum() < 5:

@@ -39,10 +39,10 @@ treat the rows independently, so a replica batch steps R trajectories for
 the Python overhead of one, and each row equals the lone trajectory on its
 stream bit for bit.  ``simulate`` is the one-trajectory case that keeps the
 whole record; ``ensemble`` yields the batch at each snapshot, for callers
-that reduce the states as the loop steps; ``step`` is a one-step run of the
-same loop.  The loop's contract: the route of B is chosen once per run from
-n_cut, each block of increments is scaled to noise kicks in one expression,
-every snapshot is a fresh array, and every step is tested for finiteness.
+that reduce the states as the loop steps.  The loop's contract: the route
+of B is chosen once per run from n_cut, each block of increments is scaled
+to noise kicks in one expression, every snapshot is a fresh array, and every
+step is tested for finiteness.
 """
 
 from __future__ import annotations
@@ -79,13 +79,10 @@ class SimulationError(RuntimeError):
     ``last_norm`` the coefficient norm of that replica's last finite state.
     """
 
-    def __init__(self, time: float, step: Optional[int] = None,
-                 replica: Optional[int] = None, last_norm: Optional[float] = None):
-        detail = ""
-        if step is not None:
-            who = "" if replica is None else f", replica {replica}"
-            detail = f" (step {step}{who}, last finite norm {last_norm:g})"
-        super().__init__(f"integration produced non-finite values at t={time:g}{detail}")
+    def __init__(self, time: float, step: int, replica: Optional[int], last_norm: float):
+        who = "" if replica is None else f", replica {replica}"
+        super().__init__(f"integration produced non-finite values at t={time:g} "
+                         f"(step {step}{who}, last finite norm {last_norm:g})")
         self.time = time
         self.step = step
         self.replica = replica
@@ -505,20 +502,6 @@ def commutator_with_drift(state: SpectralState, mode: Mode,
 # ---------------------------------------------------------------------------
 # Time stepping.
 # ---------------------------------------------------------------------------
-
-def step(state: SpectralState, params: EquationParams, noise: NoiseSpec,
-         dw: Optional[np.ndarray] = None) -> SpectralState:
-    """One exponential Euler-Maruyama step; ``dw`` holds d normals times sqrt(dt)."""
-    if noise.dim and (dw is None or len(dw) != noise.dim):
-        raise ValueError(f"dw must have length {noise.dim}")
-    block = np.asarray(dw, dtype=float)[None] if noise.dim else np.zeros((1, 0))
-    try:
-        _, (t, coeffs) = _integrate(state.basis, state.coeffs, state.time, params, noise,
-                                    1, 1, [block])
-    except SimulationError as exc:
-        raise SimulationError(exc.time) from None
-    return SpectralState(state.basis, coeffs, float(t))
-
 
 def trajectory_seed(master, index: int):
     """Seed of trajectory stream ``index`` of a run seeded with ``master``."""

@@ -127,12 +127,6 @@ def field_values(k: Vec, parity: int, x1, x2) -> np.ndarray:
     return np.stack([d[0] * s, d[1] * s])
 
 
-def eval_basis_field(mode: Mode, x) -> np.ndarray:
-    """Unit-normalized field value of ``mode`` at a point x, in the mode's slot."""
-    x = np.asarray(x, dtype=float)
-    return field_values(mode.k, mode.parity, x[0], x[1]) / BASIS_NORM
-
-
 # ---------------------------------------------------------------------------
 # Quadrature on the periodic grid.
 # ---------------------------------------------------------------------------
@@ -178,18 +172,6 @@ def project_onto_modes(values: np.ndarray, wavevectors) -> np.ndarray:
     weight = (2.0 * math.pi / m) ** 2 / BASIS_NORM
     return np.stack([np.einsum("...cn,nc->...n", spectrum.real, cos_dirs),
                      np.einsum("...cn,nc->...n", spectrum.imag, cos_dirs)], axis=-1) * weight
-
-
-def project_onto_mode(values: np.ndarray, k: Vec, parity: int) -> float:
-    """Inner product of a grid-sampled 2-vector field with the unit mode (k, parity).
-
-    ``values`` has shape (2, m, m); the one-wavevector case of
-    :func:`project_onto_modes`.
-    """
-    values = np.asarray(values)
-    if values.ndim != 3:
-        raise ValueError(f"expected field of shape (2, m, m), got {values.shape}")
-    return float(project_onto_modes(values, [k])[0, parity])
 
 
 def spectral_divergence(values: np.ndarray) -> np.ndarray:

@@ -51,7 +51,7 @@ from .galerkin import (
     triad_table,
 )
 from .lattice import COS, MAGNETIC, SIN, VELOCITY, Mode, is_canonical, make_mode, norm_sq
-from .reachability import ForcedSet, parity_unions
+from .reachability import ForcedSet, inflation_slack, parity_unions
 
 
 class FrozenPath:
@@ -82,12 +82,6 @@ class FrozenPath:
         if abs(rel - i) > 1e-8 or i < 0 or i > self.n_steps:
             raise ValueError(f"time {t} is not on the step grid of the path")
         return i
-
-    def jacobian(self, n: int) -> np.ndarray:
-        """Dense L_n, the derivative of the advection term at step n."""
-        if not self.params.nonlinearity_enabled:
-            return np.zeros((self.basis.dim, self.basis.dim))
-        return triad_table(self.basis.n_cut).jacobian(self.states[n])
 
     def step_matrix(self, n: int) -> np.ndarray:
         """A_n = E (I - dt L_n), the one-step map of both flows at step n.
@@ -367,9 +361,7 @@ def unstable_quadratic_form(state: SpectralState, forced: ForcedSet, depth: int)
         raise ValueError("depth must be >= 0")
     basis = state.basis
     n_gen = 2 * depth + 1
-    window = basis.n_cut + min(
-        math.ceil(2.0 * forced.max_modulus()) * (n_gen + 1), 4 * basis.n_cut
-    )
+    window = basis.n_cut + inflation_slack(forced, basis.n_cut, n_gen + 1)
     even, odd = parity_unions(forced, n_gen, window_bound=window)
     c = state.coeffs
     total = 0.0

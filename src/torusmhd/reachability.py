@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
@@ -153,29 +153,6 @@ class HypothesisReport:
             "max_depth": self.max_depth,
             "window_bound": self.window_bound,
         }
-
-
-@dataclass
-class GenerationTable:
-    """Generations inside the inflated window, plus one recorded derivation each."""
-
-    generations: list[set[Vec]] = field(default_factory=list)
-    parent: dict[Vec, tuple[Vec, Vec, int]] = field(default_factory=dict)
-
-
-def generation_table(forced: ForcedSet, depth: int,
-                     window_bound: Optional[int] = None) -> GenerationTable:
-    """Iterate the recursion ``depth`` times, recording first derivations."""
-    wsq = window_bound**2 if window_bound is not None else None
-    table = GenerationTable(generations=[set(forced.symmetrized)])
-    prev = forced.rows
-    for n, rows, k_idx, l_idx in _generations(forced, depth, wsq):
-        vs = list(map(tuple, rows.tolist()))
-        table.generations.append(set(vs))
-        for v, k, l in zip(vs, prev[k_idx].tolist(), forced.rows[l_idx].tolist()):
-            table.parent.setdefault(v, (tuple(k), tuple(l), n))
-        prev = rows
-    return table
 
 
 def check_hypothesis(forced: ForcedSet, radius: int,
@@ -313,5 +290,8 @@ def verify_chain(forced: ForcedSet, cert: Certificate) -> bool:
 def parity_unions(forced: ForcedSet, depth: int,
                   window_bound: Optional[int] = None) -> tuple[set[Vec], set[Vec]]:
     """Union of even- and odd-indexed generations up to ``depth`` inclusive."""
-    gens = generation_table(forced, depth, window_bound=window_bound).generations
-    return set().union(*gens[0::2]), set().union(*gens[1::2])
+    wsq = window_bound**2 if window_bound is not None else None
+    unions = (set(forced.symmetrized), set())
+    for n, rows, _, _ in _generations(forced, depth, wsq):
+        unions[n % 2].update(map(tuple, rows.tolist()))
+    return unions

@@ -200,10 +200,10 @@ class TestLerayProject:
         assert mode.k == (1, 1) and mode.slot == MAGNETIC
         assert coeff == pytest.approx(math.pi, abs=1e-13)
         # independent quadrature oracle
-        from torusmhd.lattice import grid_mesh, project_onto_mode, scalar_values
+        from torusmhd.lattice import grid_mesh, project_onto_modes, scalar_values
         x1, x2 = grid_mesh(12)
         vals = np.stack([scalar_values((1, 1), COS, x1, x2), np.zeros_like(x1)])
-        assert project_onto_mode(vals, (1, 1), COS) == pytest.approx(math.pi, abs=1e-12)
+        assert project_onto_modes(vals, [(1, 1)])[0, COS] == pytest.approx(math.pi, abs=1e-12)
 
 
 class TestVelocityDirections:
@@ -316,15 +316,12 @@ class TestVerification:
                     assert value == want, (rep.k, rep.l, rep.combo, key)
 
     def test_under_resolved_candidate_rejected(self):
-        # the pair (1,1), (1,-1) has the candidate (2,2), which needs a grid of 8
-        with pytest.raises(ValueError, match="under-resolves"):
-            verify_bracket_identity((1, 1), (1, -1), "sum01", MAGNETIC, grid=6)
-        rep = verify_bracket_identity((1, 1), (1, -1), "sum01", MAGNETIC, grid=8)
+        # the pair (1,1), (1,-1) has the candidate (2,2), which needs a grid of
+        # 8; the quadrature's own grid of 12 resolves it (project_onto_modes
+        # rejects a coarser one, see test_lattice)
+        rep = verify_bracket_identity((1, 1), (1, -1), "sum01", MAGNETIC)
         assert rep.selection_ok and rep.target_mode is not None
         assert rep.coefficient_ratio == pytest.approx(1.0, rel=1e-12)
-        # (1,0) + (1,0) reaches (2,0), which a sweep on a grid of 4 under-resolves
-        with pytest.raises(ValueError, match="under-resolves"):
-            verification_sweep(1, grid=4)
 
 
 def test_closed_form_weight_structure():

@@ -1,9 +1,11 @@
 """Configuration validation and end-to-end CLI artifact checks."""
 
 import contextlib
+import inspect
 import io
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -11,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from torusmhd import cli
+from torusmhd import cli, config
 from torusmhd.cli import main
 from torusmhd.config import (
     ConfigError,
@@ -71,6 +73,24 @@ class TestValidation:
         doc["equation"]["alpah"] = 2.0
         with pytest.raises(ConfigError, match="unknown key 'alpah'"):
             validate_config(doc)
+
+    def test_squared_amplitudes_summing_past_the_float_range_rejected(self):
+        # each square is finite, their sum is not: E_0 would be infinite
+        doc = small_config()
+        doc["noise"]["z0"] = [{"k": [0, 1], "amplitudes": [1e154, 1e154]}]
+        with pytest.raises(ConfigError, match="noise.z0: the sum of squared amplitudes"):
+            validate_config(doc)
+        doc["noise"]["z0"][0]["amplitudes"] = [1e153, 1e153]
+        assert validate_config(doc).noise.e0() == pytest.approx(2e306)
+
+    def test_every_analysis_key_the_cli_reads_is_accepted(self):
+        # a subcommand that reads a new analysis key must teach config that
+        # key, or the key would be rejected as a typo
+        src = inspect.getsource(cli)
+        read = set(re.findall(r'analysis\.get\(\s*"(\w+)"', src))
+        read |= set(re.findall(r'_state\([^()]*"(\w+)"\)', src))
+        assert {"observable", "paths", "replicas", "initial_state", "u0_a", "u0_b"} <= read
+        assert read <= config._ANALYSIS_KEYS, read - config._ANALYSIS_KEYS
 
     def test_missing_seed_rejected(self):
         doc = small_config()
@@ -440,7 +460,12 @@ class TestMalformedConfigContract:
         pytest.param('analysis.replicas="many"', id="replicas_string"),
         pytest.param('analysis.initial_state=[{"slot":"magnetic","k":[9,9]}]',
                      id="initial_state_k_outside"),
-        pytest.param('analysis.burn_in="x"', id="burn_in_string")])
+        pytest.param('analysis.burn_in="x"', id="burn_in_string"),
+        pytest.param("analysis.replica=5", id="typo_replica"),
+        pytest.param("analysis.cone_alfa=0.5", id="typo_cone_alfa"),
+        pytest.param('analysis.observabel={"kind":"total_energy"}', id="typo_observabel"),
+        pytest.param('noise.z0=[{"k":[0,1],"amplitudes":[1e308,1e308]}]',
+                     id="z0_squares_overflow")])
     def test_example_config_probes_exit_2(self, tmp_path, capsys, override):
         example = Path(__file__).resolve().parents[1] / "config.example.json"
         for command in ("malliavin", "clt"):  # validation does not depend on the command

@@ -26,7 +26,6 @@ from torusmhd.galerkin import (
     simulate,
     snapshot_steps,
     sobolev_energy,
-    step,
     trajectory_seed,
     triad_table,
     unit_mode_state,
@@ -39,6 +38,13 @@ def make_params(**kw):
     defaults = dict(alpha=1.5, beta=1.5, n_cut=3, dt=1e-3, nonlinearity_enabled=True)
     defaults.update(kw)
     return EquationParams(**defaults)
+
+
+def one_step(state, params, noise, dw=None):
+    """One step of the time loop: ``simulate`` over one dt on the given increments."""
+    dw = np.zeros(noise.dim) if dw is None else np.asarray(dw, dtype=float)
+    rec = simulate(state, params, noise, params.dt, seed=0, increments=dw[None])
+    return SpectralState(state.basis, rec.states[-1], float(rec.times[-1]))
 
 
 class TestBasis:
@@ -223,7 +229,7 @@ class TestStep:
         basis = ModeBasis(3)
         params = make_params(alpha=1.3, nonlinearity_enabled=False)
         mode = make_mode(VELOCITY, (1, 2), COS)
-        s = step(unit_mode_state(basis, mode), params, EMPTY_NOISE)
+        s = one_step(unit_mode_state(basis, mode), params, EMPTY_NOISE)
         assert s.coefficient(mode) == pytest.approx(
             math.exp(-5.0**1.3 * params.dt), rel=1e-14)
 
@@ -232,20 +238,20 @@ class TestStep:
         basis = ModeBasis(3)
         params = make_params()
         mode = make_mode(VELOCITY, (0, 1), SIN)
-        s = step(unit_mode_state(basis, mode), params, EMPTY_NOISE)
+        s = one_step(unit_mode_state(basis, mode), params, EMPTY_NOISE)
         want = math.exp(-params.dt)
         assert s.coefficient(mode) == pytest.approx(want, rel=1e-13)
 
     def test_zero_fixed_point(self):
         basis = ModeBasis(2)
-        s = step(zero_state(basis), make_params(n_cut=2), EMPTY_NOISE)
+        s = one_step(zero_state(basis), make_params(n_cut=2), EMPTY_NOISE)
         assert np.all(s.coeffs == 0.0)
 
     def test_dw_length_checked(self):
         basis = ModeBasis(2)
         noise = NoiseSpec.uniform([(0, 1)])
         with pytest.raises(ValueError):
-            step(zero_state(basis), make_params(n_cut=2), noise, np.zeros(3))
+            one_step(zero_state(basis), make_params(n_cut=2), noise, np.zeros(3))
 
     def test_ou_stationary_variance(self):
         # forced magnetic mode with |k| = 1, beta arbitrary: lam = 1,
@@ -349,12 +355,12 @@ class TestSimulate:
         n_steps = 6
 
         def reference(stream):
-            """(step, last finite norm) of chained steps on the stream's increments."""
+            """(step, last finite norm) of chained one-step runs on the stream's increments."""
             rng = np.random.default_rng(trajectory_seed(0, stream))
             state = u0
             for n, dw in enumerate(rng.standard_normal((n_steps, noise.dim)), 1):
                 try:
-                    state = step(state, params, noise, dw * math.sqrt(params.dt))
+                    state = one_step(state, params, noise, dw * math.sqrt(params.dt))
                 except SimulationError:
                     return n, math.hypot(*state.coeffs)
             return n_steps + 1, None
@@ -411,7 +417,7 @@ class TestSimulate:
         rec = simulate(u0, params, noise, 0.2, seed=8, store_noise=True, increments=dws)
         state = u0
         for n, dw in enumerate(rec.noise_increments, 1):
-            state = step(state, params, noise, dw)
+            state = one_step(state, params, noise, dw)
             assert np.array_equal(state.coeffs, rec.states[n])
             assert state.time == pytest.approx(rec.times[n])  # summed, not t0 + n dt
         assert n == 20

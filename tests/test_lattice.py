@@ -14,7 +14,6 @@ from torusmhd.lattice import (
     MAGNETIC,
     canonical_rep,
     direction,
-    eval_basis_field,
     field_values,
     grid_mesh,
     is_canonical,
@@ -22,7 +21,6 @@ from torusmhd.lattice import (
     norm_sq,
     pairing_coefficient,
     perp_dot,
-    project_onto_mode,
     project_onto_modes,
     spectral_divergence,
 )
@@ -85,12 +83,13 @@ class TestParityIdentities:
 class TestEvalBasisField:
     def test_velocity_cos_at_origin(self):
         mode = make_mode(VELOCITY, (0, 1), COS)
-        val = eval_basis_field(mode, (0.0, 0.0))
+        val = field_values(mode.k, mode.parity, 0.0, 0.0) / BASIS_NORM
         assert val == pytest.approx([1.0 / BASIS_NORM, 0.0], abs=1e-15)
 
     def test_sin_vanishes_at_origin(self):
         mode = make_mode(MAGNETIC, (1, 0), SIN)
-        assert eval_basis_field(mode, (0.0, 0.0)) == pytest.approx([0.0, 0.0], abs=1e-15)
+        val = field_values(mode.k, mode.parity, 0.0, 0.0) / BASIS_NORM
+        assert val == pytest.approx([0.0, 0.0], abs=1e-15)
 
     def test_unit_norm_by_quadrature(self):
         mode = make_mode(VELOCITY, (2, 1), SIN)
@@ -113,17 +112,17 @@ class TestProjection:
         m = 16
         x1, x2 = grid_mesh(m)
         f = field_values((1, 1), COS, x1, x2) / BASIS_NORM
-        assert project_onto_mode(f, (1, 1), COS) == pytest.approx(1.0, abs=1e-12)
-        assert project_onto_mode(f, (1, 2), COS) == pytest.approx(0.0, abs=1e-12)
-        assert project_onto_mode(f, (1, 1), SIN) == pytest.approx(0.0, abs=1e-12)
+        assert project_onto_modes(f, [(1, 1)])[0, COS] == pytest.approx(1.0, abs=1e-12)
+        assert project_onto_modes(f, [(1, 2)])[0, COS] == pytest.approx(0.0, abs=1e-12)
+        assert project_onto_modes(f, [(1, 1)])[0, SIN] == pytest.approx(0.0, abs=1e-12)
 
     def test_linearity(self):
         m = 16
         x1, x2 = grid_mesh(m)
         f = (3.0 * field_values((2, 1), SIN, x1, x2)
              - 2.0 * field_values((1, 0), COS, x1, x2)) / BASIS_NORM
-        assert project_onto_mode(f, (2, 1), SIN) == pytest.approx(3.0, abs=1e-12)
-        assert project_onto_mode(f, (1, 0), COS) == pytest.approx(-2.0, abs=1e-12)
+        assert project_onto_modes(f, [(2, 1)])[0, SIN] == pytest.approx(3.0, abs=1e-12)
+        assert project_onto_modes(f, [(1, 0)])[0, COS] == pytest.approx(-2.0, abs=1e-12)
 
     def test_exact_for_random_combination(self):
         rng = np.random.default_rng(4)
@@ -134,18 +133,18 @@ class TestProjection:
         f = sum(c * field_values(k, p, x1, x2) for c, (k, p) in zip(coeffs, modes))
         f = f / BASIS_NORM
         for c, (k, p) in zip(coeffs, modes):
-            assert project_onto_mode(f, k, p) == pytest.approx(c, abs=1e-12)
+            assert project_onto_modes(f, [k])[0, p] == pytest.approx(c, abs=1e-12)
 
     def test_under_resolved_grid_rejected(self):
         x1, x2 = grid_mesh(8)
         f = field_values((3, 0), COS, x1, x2)
         with pytest.raises(ValueError, match="under-resolves"):
-            project_onto_mode(f, (3, 0), COS)
+            project_onto_modes(f, [(3, 0)])
 
     def test_odd_grid_rejected(self):
         f = np.zeros((2, 9, 9))
         with pytest.raises(ValueError):
-            project_onto_mode(f, (1, 0), COS)
+            project_onto_modes(f, [(1, 0)])
 
     @pytest.mark.parametrize("m", [8, 12, 20, 28])
     def test_dft_read_off_is_the_rectangle_rule(self, m):
@@ -166,7 +165,7 @@ class TestProjection:
                 want = (values * basis).sum(axis=(1, 2, 3)) * weight
                 scale = (np.abs(values * basis).sum(axis=(1, 2, 3)) * weight).max()
                 assert np.max(np.abs(got[:, i, p] - want)) <= 1e-13 * scale
-            assert project_onto_mode(values[0], q, SIN) == \
+            assert project_onto_modes(values[0], [q])[0, SIN] == \
                 pytest.approx(got[0, i, SIN], abs=1e-15 * scale)
 
     def test_batched_read_off_checks_every_wavevector(self):

@@ -8,10 +8,10 @@ from hypothesis import given, settings, strategies as st
 from torusmhd.brackets import magnetic_direction, velocity_direction
 from torusmhd.reachability import (
     ForcedSet,
+    _generations,
     admissible,
     check_hypothesis,
     generation_certificate,
-    generation_table,
     next_generation,
     parity_unions,
     verify_chain,
@@ -155,14 +155,25 @@ class TestCertificates:
                 acc = exp_k
 
 
+def _derivations(forced, depth, wsq):
+    """Generations 0..depth as sets, and each later row with its first derivation."""
+    gens, derived, prev = [set(forced.symmetrized)], [], forced.rows
+    for n, rows, k_idx, l_idx in _generations(forced, depth, wsq):
+        gens.append(set(map(tuple, rows.tolist())))
+        derived += [(tuple(v), tuple(k), tuple(l), n) for v, k, l in
+                    zip(rows.tolist(), prev[k_idx].tolist(), forced.rows[l_idx].tolist())]
+        prev = rows
+    return gens, derived
+
+
 class TestGenerationTable:
     def test_parent_records_valid_derivations(self):
         forced = ForcedSet.from_wavevectors(EXAMPLE_Z0)
-        table = generation_table(forced, depth=3, window_bound=8)
-        for v, (k, l, gen) in table.parent.items():
+        gens, derived = _derivations(forced, 3, 64)
+        for v, k, l, n in derived:
             assert admissible(k, l)
             assert (k[0] + l[0], k[1] + l[1]) == v
-            assert v in table.generations[gen]
+            assert v in gens[n] and k in gens[n - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -224,15 +235,16 @@ class TestTransitionAgainstReference:
             gens.append(_ref_step(gens[-1], forced, wsq))
             assert next_generation(gens[-2], forced, window_norm_sq=wsq) == gens[-1]
 
-        table = generation_table(forced, 3, window_bound=window)
-        assert table.generations == gens[:len(table.generations)]
-        assert len(table.generations) == 4 or not table.generations[-1]
-        assert set(table.parent) == set().union(*table.generations[1:])
-        for v, (k, l, n) in table.parent.items():
-            # the recorded derivation is admissible and from v's first generation
+        got, derived = _derivations(forced, 3, wsq)
+        assert got == gens[:len(got)]
+        assert len(got) == 4 or not got[-1]
+        assert sorted(v for v, *_ in derived) == sorted(v for g in got[1:] for v in g)
+        for v, k, l, n in derived:
+            # every row of generation n comes with a derivation from generation n - 1
             assert k in gens[n - 1] and l in forced.symmetrized
             assert (k[0] + l[0], k[1] + l[1]) == v and admissible(k, l)
-            assert n == min(i for i in range(1, len(gens)) if v in gens[i])
+        assert parity_unions(forced, 3, window_bound=window) == \
+            (set().union(*gens[0::2]), set().union(*gens[1::2]))
 
         assert check_hypothesis(forced, radius, max_depth).to_dict() == \
             _ref_hypothesis(forced, radius, max_depth)
