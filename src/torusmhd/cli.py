@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import SLOTS, ConfigError, ExperimentConfig, parse_config
+from .config import ConfigError, ExperimentConfig, parse_config
 from .brackets import verification_sweep
 from .diagnostics import (
     Observable,
@@ -44,7 +44,7 @@ from .galerkin import (
     unit_mode_state,
     zero_state,
 )
-from .lattice import COS, MAGNETIC, Mode, make_mode
+from .lattice import MAGNETIC, make_mode
 from .malliavin import (
     ConeSpec,
     FrozenPath,
@@ -126,28 +126,17 @@ def _parse_vec_list(text: str) -> list[tuple[int, int]]:
     return out
 
 
-def _mode(spec: dict) -> Mode:
-    """The mode named by a validated {slot, k, parity} entry."""
-    return make_mode(SLOTS[spec.get("slot", "magnetic")], tuple(spec["k"]),
-                     spec.get("parity", COS))
-
-
 def _observable(cfg: ExperimentConfig) -> Observable:
-    spec = cfg.analysis.get("observable")
-    if spec is None:
+    if cfg.analysis.observable is None:
         raise ConfigError(["analysis.observable is required by this subcommand"])
-    kind = spec.get("kind", "mode_coefficient")
-    if kind == "total_energy":
-        return Observable(kind="total_energy")
-    return Observable(kind=kind, mode=_mode(spec), scale=float(spec.get("scale", 1.0)))
+    return cfg.analysis.observable
 
 
-def _state(cfg: ExperimentConfig, basis: ModeBasis,
-           key: str = "initial_state") -> SpectralState:
-    """The state listed by ``analysis[key]``; zero when the key is absent."""
+def _state(basis: ModeBasis, entries) -> SpectralState:
+    """The state of the (mode, amplitude) ``entries``; zero when there are none."""
     state = zero_state(basis)
-    for entry in cfg.analysis.get(key) or []:
-        state.coeffs[basis.mode_index(_mode(entry))] = float(entry.get("amplitude", 1.0))
+    for mode, amplitude in entries:
+        state.coeffs[basis.mode_index(mode)] = amplitude
     return state
 
 
@@ -246,18 +235,14 @@ def cmd_reach(args, out: OutputDir) -> tuple[dict, int]:
     return {"z0": args.z0, "radius": args.radius, "max_depth": args.max_depth}, EXIT_OK
 
 
-def _tracked_modes(cfg: ExperimentConfig, basis: ModeBasis):
-    specs = cfg.analysis.get("track_modes")
-    modes = ([make_mode(MAGNETIC, e.k, e.parity) for e in cfg.noise.entries] if specs is None
-             else [_mode(spec) for spec in specs])
-    return [(m, basis.mode_index(m)) for m in modes]
-
-
 @_config_command
 def cmd_simulate(cfg: ExperimentConfig, basis: ModeBasis, out: OutputDir) -> None:
-    tracked = _tracked_modes(cfg, basis)
-    rec = simulate(_state(cfg, basis), cfg.equation, cfg.noise, cfg.run.horizon,
-                   cfg.run.seed, snapshot_stride=cfg.run.snapshot_stride)
+    modes = cfg.analysis.track_modes
+    if modes is None:  # the forced modes
+        modes = [make_mode(MAGNETIC, e.k, e.parity) for e in cfg.noise.entries]
+    tracked = [(m, basis.mode_index(m)) for m in modes]
+    rec = simulate(_state(basis, cfg.analysis.initial_state), cfg.equation, cfg.noise,
+                   cfg.run.horizon, cfg.run.seed, snapshot_stride=cfg.run.snapshot_stride)
     header = ["time", "total_energy"] + [m.label() for m, _ in tracked]
     energy = (rec.states**2).sum(axis=1)
     rows = [
@@ -276,28 +261,24 @@ def cmd_simulate(cfg: ExperimentConfig, basis: ModeBasis, out: OutputDir) -> Non
 
 @_config_command
 def cmd_malliavin(cfg: ExperimentConfig, basis: ModeBasis, out: OutputDir) -> None:
-    u0 = _state(cfg, basis)
     analysis = cfg.analysis
-    cone = ConeSpec(alpha=float(analysis.get("cone_alpha", 0.5)),
-                    n=analysis.get("cone_n", 1))
-    n_paths = analysis.get("paths", 1)
-    samples = analysis.get("cone_samples", 200)
-    level = analysis.get("basis_level")
-    profile_modes = [_mode(spec) for spec in analysis.get("profile_modes") or []]
+    u0 = _state(basis, analysis.initial_state)
+    cone = ConeSpec(alpha=analysis.cone_alpha, n=analysis.cone_n)
     probes = None
-    if profile_modes:
-        probes = np.array([unit_mode_state(basis, m).coeffs for m in profile_modes])
+    if analysis.profile_modes:
+        probes = np.array([unit_mode_state(basis, m).coeffs for m in analysis.profile_modes])
 
     per_path = []
     spectra = []
     diag = profiles = None
-    for p in range(n_paths):
+    for p in range(analysis.paths):
         rec = simulate(u0, cfg.equation, cfg.noise, cfg.run.horizon,
                        trajectory_seed(cfg.run.seed, p), snapshot_stride=1)
         # path 0 carries the profile probes through the same backward sweep
-        mat = assemble_malliavin(FrozenPath(rec), cfg.noise, n_level=level,
+        mat = assemble_malliavin(FrozenPath(rec), cfg.noise, n_level=analysis.basis_level,
                                  probes=probes if p == 0 else None)
-        report = cone_infimum(mat, cone, samples=samples, seed=cone_seed(cfg.run.seed, p))
+        report = cone_infimum(mat, cone, samples=analysis.cone_samples,
+                              seed=cone_seed(cfg.run.seed, p))
         eigs = mat.eigenvalues()
         spectra.append(eigs.tolist())
         if p == 0:
@@ -306,8 +287,8 @@ def cmd_malliavin(cfg: ExperimentConfig, basis: ModeBasis, out: OutputDir) -> No
             diag = {m.label(): float(v) for m, v in zip(mat.modes, np.diag(mat.gram))}
         per_path.append(report.to_dict())
     out.write_json("malliavin_report.json", {
-        "cone": {"alpha": cone.alpha, "n": cone.n, "samples": samples},
-        "paths": n_paths,
+        "cone": {"alpha": cone.alpha, "n": cone.n, "samples": analysis.cone_samples},
+        "paths": analysis.paths,
         "per_path": per_path,
         "eigenvalues": spectra,
         "diagonal_first_path": diag,
@@ -315,7 +296,7 @@ def cmd_malliavin(cfg: ExperimentConfig, basis: ModeBasis, out: OutputDir) -> No
 
     if profiles is not None:
         header = ["time"]
-        for mode in profile_modes:
+        for mode in analysis.profile_modes:
             for entry in cfg.noise.entries:
                 header.append(f"<sigma[{entry.k[0]},{entry.k[1]}]^{entry.parity},"
                               f"K {mode.label()}>")
@@ -327,10 +308,9 @@ def cmd_malliavin(cfg: ExperimentConfig, basis: ModeBasis, out: OutputDir) -> No
 @_config_command
 def cmd_lln(cfg: ExperimentConfig, basis: ModeBasis, out: OutputDir) -> None:
     obs = _observable(cfg)
-    burn_in = float(cfg.analysis.get("burn_in", 0.0))
-    rec = simulate(_state(cfg, basis), cfg.equation, cfg.noise, cfg.run.horizon,
-                   cfg.run.seed, snapshot_stride=cfg.run.snapshot_stride)
-    report = time_average(rec, obs, burn_in=burn_in)
+    rec = simulate(_state(basis, cfg.analysis.initial_state), cfg.equation, cfg.noise,
+                   cfg.run.horizon, cfg.run.seed, snapshot_stride=cfg.run.snapshot_stride)
+    report = time_average(rec, obs, burn_in=cfg.analysis.burn_in)
     values = obs.of_states(basis, rec.states)
     out.write_csv("lln_timeseries.csv", ["time", "observable"],
                   [[float(t), float(v)] for t, v in zip(rec.times, values)])
@@ -340,11 +320,11 @@ def cmd_lln(cfg: ExperimentConfig, basis: ModeBasis, out: OutputDir) -> None:
 @_config_command
 def cmd_clt(cfg: ExperimentConfig, basis: ModeBasis, out: OutputDir) -> None:
     obs = _observable(cfg)
-    replicas = int(cfg.analysis.get("replicas", max(cfg.run.ensemble_size, 50)))
-    report = clt_sample(_state(cfg, basis), cfg.equation, cfg.noise, obs, cfg.run.horizon,
-                        replicas, cfg.run.seed,
-                        pilot_horizon=cfg.analysis.get("pilot_horizon"),
-                        burn_in=float(cfg.analysis.get("burn_in", 0.0)),
+    analysis = cfg.analysis
+    replicas = analysis.replicas or max(cfg.run.ensemble_size, 50)
+    report = clt_sample(_state(basis, analysis.initial_state), cfg.equation, cfg.noise, obs,
+                        cfg.run.horizon, replicas, cfg.run.seed,
+                        pilot_horizon=analysis.pilot_horizon, burn_in=analysis.burn_in,
                         snapshot_stride=cfg.run.snapshot_stride)
     out.write_csv("clt_samples.csv", ["replica", "normalized_integral"],
                   [[i, float(v)] for i, v in enumerate(report.samples)])
@@ -355,11 +335,11 @@ def cmd_clt(cfg: ExperimentConfig, basis: ModeBasis, out: OutputDir) -> None:
 
 @_config_command
 def cmd_mix(cfg: ExperimentConfig, basis: ModeBasis, out: OutputDir) -> None:
-    u0_a, u0_b = _state(cfg, basis, "u0_a"), _state(cfg, basis, "u0_b")
+    u0_a, u0_b = _state(basis, cfg.analysis.u0_a), _state(basis, cfg.analysis.u0_b)
     if np.array_equal(u0_a.coeffs, u0_b.coeffs):
         raise ConfigError(["mix requires distinct initial states u0_a and u0_b"])
     obs = _observable(cfg)
-    replicas = int(cfg.analysis.get("replicas", max(cfg.run.ensemble_size, 100)))
+    replicas = cfg.analysis.replicas or max(cfg.run.ensemble_size, 100)
     report = mixing_decay_estimate(u0_a, u0_b, cfg.equation, cfg.noise, obs,
                                    cfg.run.horizon, replicas, cfg.run.seed,
                                    snapshot_stride=cfg.run.snapshot_stride)
@@ -374,8 +354,8 @@ def cmd_mix(cfg: ExperimentConfig, basis: ModeBasis, out: OutputDir) -> None:
 
 @_config_command
 def cmd_moment(cfg: ExperimentConfig, basis: ModeBasis, out: OutputDir) -> None:
-    u0 = _state(cfg, basis)
-    eta = float(cfg.analysis.get("eta", 0.01))
+    u0 = _state(basis, cfg.analysis.initial_state)
+    eta = cfg.analysis.eta
     n_traj = cfg.run.ensemble_size
     probes = exp_moment_ensemble(u0, cfg.equation, cfg.noise, cfg.run.horizon, n_traj,
                                  cfg.run.seed, eta, snapshot_stride=cfg.run.snapshot_stride)

@@ -1,24 +1,22 @@
-"""Experiment configuration: JSON on disk, validated into solver objects.
+"""Experiment configuration: JSON on disk, validated into typed solver objects.
 
-Validation is typo-safe (unknown keys are rejected) and reports every
-violation at once rather than stopping at the first.  Stochastic runs must
-name their seed explicitly; there is no wall-clock fallback anywhere in the
-package.
+This module is the one owner of what a config key means and of its default:
+each section, and each kind of mode object, has one table of rules that one
+loop checks.  Validation is typo-safe (unknown keys are rejected) and reports
+every violation at once under its dotted key.  Stochastic runs must name their
+seed explicitly; there is no wall-clock fallback anywhere in the package.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
-from .diagnostics import OBSERVABLE_KINDS
-from .galerkin import EquationParams, NoiseSpec
-from .lattice import COS, MAGNETIC, SIN, VELOCITY, is_canonical, norm_sq
-
-#: The slot names that mode entries of the ``analysis`` section may use.
-SLOTS = {"velocity": VELOCITY, "magnetic": MAGNETIC}
+from .diagnostics import OBSERVABLE_KINDS, Observable
+from .galerkin import EquationParams, NoiseSpec, snapshot_steps
+from .lattice import COS, SIN, SLOT_NAMES, Mode, is_canonical, make_mode, norm_sq
 
 
 class ConfigError(ValueError):
@@ -33,8 +31,33 @@ class ConfigError(ValueError):
 class RunParams:
     horizon: float
     seed: int
-    snapshot_stride: int = 1
-    ensemble_size: int = 1
+    snapshot_stride: int
+    ensemble_size: int
+
+
+@dataclass(frozen=True)
+class Analysis:
+    """The ``analysis`` section, typed; ``_ANALYSIS`` holds each key's rule and default.
+
+    A state list holds (mode, amplitude) pairs.  A None leaves the choice to the
+    reader: ``track_modes`` None means the forced modes, unlike an empty list.
+    """
+
+    paths: int
+    cone_alpha: float
+    cone_n: int
+    cone_samples: int
+    basis_level: Optional[int]
+    replicas: Optional[int]
+    eta: float
+    burn_in: float
+    pilot_horizon: Optional[float]
+    observable: Optional[Observable]
+    initial_state: tuple[tuple[Mode, float], ...]
+    u0_a: tuple[tuple[Mode, float], ...]
+    u0_b: tuple[tuple[Mode, float], ...]
+    track_modes: Optional[tuple[Mode, ...]]
+    profile_modes: tuple[Mode, ...]
 
 
 @dataclass
@@ -42,14 +65,8 @@ class ExperimentConfig:
     equation: EquationParams
     noise: NoiseSpec
     run: RunParams
-    analysis: dict[str, Any] = field(default_factory=dict)
-    raw: dict[str, Any] = field(default_factory=dict)
-
-
-_EQUATION_KEYS = {"alpha", "beta", "n_cut", "dt", "nonlinearity_enabled", "grid"}
-_NOISE_KEYS = {"z0"}
-_RUN_KEYS = {"T", "seed", "snapshot_stride", "ensemble_size", "workers"}
-_TOP_KEYS = {"equation", "noise", "run", "analysis"}
+    analysis: Analysis
+    raw: dict[str, Any]
 
 
 def _is_int(v) -> bool:  # bool subclasses int, yet true is not a count
@@ -66,223 +83,221 @@ def _is_number(v) -> bool:
         return False
 
 
-def _check_finite(node, where: str, errors: list[str]) -> None:
-    """Report every NaN or infinite number inside a free-form section."""
-    if isinstance(node, float) and not math.isfinite(node):
-        errors.append(f"{where} must be a finite number (got {node})")
-    elif isinstance(node, dict):
-        for key, value in node.items():
-            _check_finite(value, f"{where}.{key}", errors)
-    elif isinstance(node, list):
-        for i, value in enumerate(node):
-            _check_finite(value, f"{where}[{i}]", errors)
+def _is_wavevector(v) -> bool:
+    return isinstance(v, list) and len(v) == 2 and all(_is_int(x) for x in v)
 
 
-def _check_keys(section: dict, allowed: set, where: str, errors: list[str]) -> None:
-    """Report every key of ``section`` outside ``allowed`` by its dotted path."""
-    prefix = f"{where}." if where else ""
-    errors += [f"unknown key {key!r} at {prefix}{key}" for key in section if key not in allowed]
+#: The default of a key that must be present.
+_REQUIRED = object()
 
+# A table maps each key to (test, rule, default): the test a present value must
+# pass, the rule it states after "must", and the value of an absent key.  A float
+# default makes a present value a float.
 
-def _check_mode_entry(entry, n_cut: Optional[int], where: str, errors: list, numbers=()):
-    """A mode object {slot, k, parity, *numbers}, k canonical and inside the truncation."""
-    if not isinstance(entry, dict):
-        errors.append(f"{where} must be an object")
-        return
-    _check_keys(entry, {"slot", "k", "parity", *numbers}, where, errors)
-    if entry.get("slot", "magnetic") not in SLOTS:
-        errors.append(f"{where}.slot must be one of {sorted(SLOTS)}")
-    parity = entry.get("parity", COS)
-    if not _is_int(parity) or parity not in (COS, SIN):
-        errors.append(f"{where}.parity must be {COS} (cos) or {SIN} (sin)")
-    k = entry.get("k")
-    if not isinstance(k, list) or len(k) != 2 or not all(_is_int(v) for v in k):
-        errors.append(f"{where}.k must be a pair of integers")
-    elif not is_canonical(k) or (n_cut is not None and norm_sq(k) > n_cut * n_cut):
-        errors.append(f"{where}.k={k} must be a canonical wavevector (k1 > 0, or "
-                      f"k1 = 0 and k2 > 0) inside the truncation n_cut={n_cut}")
-    errors += [f"{where}.{key} must be a finite number" for key in numbers
-               if not _is_number(entry.get(key, 1.0))]
-
-
-def _check_whole_steps(where: str, horizon, dt, errors: list[str]) -> None:
-    if _is_number(horizon) and _is_number(dt) and dt > 0 and horizon > 0:
-        n = horizon / dt
-        if not math.isfinite(n) or abs(n - round(n)) > 1e-9 * max(1.0, n):
-            errors.append(f"{where}={horizon} is not a whole number of steps of dt={dt}")
-
-
-#: The numeric ``analysis`` entries: the test each value must pass, and the rule it states.
-_ANALYSIS_NUMBERS = {
-    "paths": (lambda v: _is_int(v) and v >= 0, "a non-negative integer"),
-    "cone_alpha": (lambda v: _is_number(v) and 0 < v <= 1, "a number in (0, 1]"),
-    "cone_n": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
-    "cone_samples": (lambda v: _is_int(v) and v >= 0, "an integer >= 0"),
-    "basis_level": (lambda v: v is None or _is_int(v) and v >= 1, "an integer >= 1"),
-    "replicas": (lambda v: _is_int(v) and v >= 2, "an integer >= 2"),
-    "eta": (lambda v: _is_number(v) and v > 0, "a positive number"),
-    "burn_in": (lambda v: _is_number(v) and v >= 0, "a non-negative number"),
-    "pilot_horizon": (lambda v: v is None or _is_number(v) and v > 0, "a positive number"),
+_EQUATION = {
+    "alpha": (lambda v: _is_number(v) and v > 1, "exceed 1", _REQUIRED),
+    "beta": (lambda v: _is_number(v) and v > 1, "exceed 1", _REQUIRED),
+    "n_cut": (lambda v: _is_int(v) and v >= 1, "be a positive integer", _REQUIRED),
+    "dt": (lambda v: _is_number(v) and v > 0, "be a positive finite number", _REQUIRED),
+    "nonlinearity_enabled": (lambda v: isinstance(v, bool), "be a boolean", True),
+    "grid": (lambda v: v is None or _is_int(v) and v % 2 == 0, "be an even integer", None),
 }
 
+_RUN = {
+    "T": (lambda v: _is_number(v) and v > 0, "be a positive finite number", _REQUIRED),
+    "seed": (lambda v: _is_int(v) and v >= 0,
+             "be a non-negative integer; stochastic runs have no wall-clock default", _REQUIRED),
+    "snapshot_stride": (lambda v: _is_int(v) and v >= 1, "be a positive integer", 1),
+    "ensemble_size": (lambda v: _is_int(v) and v >= 1, "be a positive integer", 1),
+    # validated for compatibility; nothing reads it
+    "workers": (lambda v: _is_int(v) and v >= 1, "be a positive integer", 1),
+}
 
-#: The ``analysis`` entries that list mode objects.
+#: The ``analysis`` entries that list mode objects; null stands for the default.
 _MODE_LISTS = ("initial_state", "u0_a", "u0_b", "track_modes", "profile_modes")
-_ANALYSIS_KEYS = {*_ANALYSIS_NUMBERS, "observable", *_MODE_LISTS}
+
+_ANALYSIS = {
+    "paths": (lambda v: _is_int(v) and v >= 0, "be a non-negative integer", 1),
+    "cone_alpha": (lambda v: _is_number(v) and 0 < v <= 1, "be a number in (0, 1]", 0.5),
+    "cone_n": (lambda v: _is_int(v) and v >= 1, "be an integer >= 1", 1),
+    "cone_samples": (lambda v: _is_int(v) and v >= 0, "be an integer >= 0", 200),
+    "basis_level": (lambda v: v is None or _is_int(v) and v >= 1, "be an integer >= 1", None),
+    "replicas": (lambda v: _is_int(v) and v >= 2, "be an integer >= 2", None),
+    "eta": (lambda v: _is_number(v) and v > 0, "be a positive number", 0.01),
+    "burn_in": (lambda v: _is_number(v) and v >= 0, "be a non-negative number", 0.0),
+    "pilot_horizon": (lambda v: v is None or _is_number(v) and v > 0, "be a positive number",
+                      None),
+    "observable": (lambda v: isinstance(v, dict), "be an object", None),
+    **{key: (lambda v: v is None or isinstance(v, list), "be a list of mode objects", None)
+       for key in _MODE_LISTS},
+}
+
+_SLOTS = {name: slot for slot, name in SLOT_NAMES.items()}
+
+#: A mode object; its k is checked against the truncation by ``_read_mode``.
+_MODE = {
+    "slot": (lambda v: isinstance(v, str) and v in _SLOTS, f"be one of {sorted(_SLOTS)}",
+             "magnetic"),
+    "k": (lambda v: _is_wavevector(v) and is_canonical(v), "be a canonical wavevector "
+          "[k1, k2] of integers (k1 > 0, or k1 = 0 and k2 > 0)", _REQUIRED),
+    "parity": (lambda v: _is_int(v) and v in (COS, SIN), f"be {COS} (cos) or {SIN} (sin)", COS),
+}
+_STATE_ENTRY = {**_MODE, "amplitude": (_is_number, "be a finite number", 1.0)}
+_OBSERVABLE = {
+    "kind": (lambda v: v in OBSERVABLE_KINDS, f"be one of {list(OBSERVABLE_KINDS)}",
+             "mode_coefficient"),
+    **_MODE,
+    "scale": (_is_number, "be a finite number", 1.0),
+}
+
+_NOISE = {"z0": (lambda v: isinstance(v, list) and len(v) > 0,
+                 "be a nonempty list of forced-mode objects", _REQUIRED)}
+_FORCED_MODE = {
+    "k": (lambda v: _is_wavevector(v) and v != [0, 0], "be a nonzero pair of integers",
+          _REQUIRED),
+    "amplitudes": (lambda v: isinstance(v, list) and len(v) == 2
+                   and all(_is_number(a) and a != 0 for a in v),
+                   "be a pair of finite non-zero numbers", [1.0, 1.0]),
+}
+
+#: The sections read by a table; ``noise`` is read by ``_read_noise``.
+SECTIONS = {"equation": _EQUATION, "run": _RUN, "analysis": _ANALYSIS}
 
 
-def _check_analysis(analysis: dict, n_cut: Optional[int], dt, errors: list[str]) -> None:
-    """The keys, numbers, observable and mode lists of the ``analysis`` section."""
-    _check_keys(analysis, _ANALYSIS_KEYS, "analysis", errors)
-    for key, (valid, rule) in _ANALYSIS_NUMBERS.items():
-        if key in analysis and not valid(analysis[key]):
-            errors.append(f"analysis.{key} must be {rule} (got {analysis[key]!r})")
-    _check_whole_steps("analysis.pilot_horizon", analysis.get("pilot_horizon"), dt, errors)
-    obs = analysis.get("observable", {"kind": "total_energy"})
-    kind = obs.get("kind", "mode_coefficient") if isinstance(obs, dict) else None
-    if kind not in OBSERVABLE_KINDS:
-        errors.append(f"analysis.observable must be an object, kind in {list(OBSERVABLE_KINDS)}")
-    elif kind != "total_energy":
-        _check_mode_entry({key: v for key, v in obs.items() if key != "kind"}, n_cut,
-                          "analysis.observable", errors, ("scale",))
-    for key in _MODE_LISTS:
-        specs = analysis.get(key)
-        if specs is not None and not isinstance(specs, list):  # null: the default
-            errors.append(f"analysis.{key} must be a list of mode objects")
+def _read(obj, table: dict, where: str, errors: list[str]) -> dict:
+    """The keys of ``table`` read from the object ``obj``, each absent one at its default.
+
+    Every unknown key and every value that fails its test is reported under
+    its dotted key and left out of the result.
+    """
+    if not isinstance(obj, dict):
+        errors.append(f"{where} must be an object")
+        return {}
+    errors += [f"unknown key {key!r} at {where}.{key}" for key in obj if key not in table]
+    values = {}
+    for key, (valid, rule, default) in table.items():
+        if key not in obj:
+            if default is _REQUIRED:
+                errors.append(f"{where}.{key} must {rule} (missing)")
+            else:
+                values[key] = default
+        elif valid(obj[key]):
+            values[key] = float(obj[key]) if isinstance(default, float) else obj[key]
+        else:
+            errors.append(f"{where}.{key} must {rule} (got {obj[key]!r})")
+    return values
+
+
+def _read_mode(obj, table: dict, where: str, n_cut: Optional[int], errors: list[str]) -> dict:
+    """A mode object read by ``table``; if it breaks no rule and its k lies inside
+    the truncation, its :class:`Mode` is added under ``"mode"``."""
+    known = len(errors)
+    values = _read(obj, table, where, errors)
+    k = values.get("k")
+    if k is not None and n_cut is not None and norm_sq(k) > n_cut * n_cut:
+        errors.append(f"{where}.k={k} must lie inside the truncation n_cut={n_cut}")
+    if len(errors) == known:
+        values["mode"] = make_mode(_SLOTS[values["slot"]], tuple(k), values["parity"])
+    return values
+
+
+def _read_noise(section, n_cut: Optional[int], errors: list[str]) -> dict:
+    """The forced modes of ``noise.z0``, each once and inside the truncation, with
+    their (cos, sin) amplitudes."""
+    z0 = _read(section, _NOISE, "noise", errors).get("z0", [])
+    amplitudes: dict[tuple, tuple[float, float]] = {}
+    for i, entry in enumerate(z0):
+        where = f"noise.z0[{i}]"
+        values = _read(entry, _FORCED_MODE, where, errors)
+        if len(values) < len(_FORCED_MODE):
             continue
-        numbers = () if key.endswith("modes") else ("amplitude",)
-        for i, entry in enumerate(specs or []):
-            _check_mode_entry(entry, n_cut, f"analysis.{key}[{i}]", errors, numbers)
+        k = tuple(values["k"])
+        if n_cut is not None and norm_sq(k) > n_cut * n_cut:
+            errors.append(f"{where}: forced mode {list(k)} outside truncation n_cut={n_cut}")
+        elif k in amplitudes:
+            errors.append(f"{where}: duplicate forced mode {list(k)}")
+        else:
+            amplitudes[k] = tuple(float(a) for a in values["amplitudes"])
+    if not math.isfinite(sum(a * a for pair in amplitudes.values() for a in pair)):
+        errors.append("noise.z0: the sum of squared amplitudes must be finite")
+    return amplitudes
+
+
+def _read_analysis(section, n_cut: Optional[int], errors: list[str]) -> dict:
+    """The ``analysis`` section by its table, each mode object typed by its own."""
+    values = _read(section, _ANALYSIS, "analysis", errors)
+    for key in _MODE_LISTS:
+        if key == "track_modes" and values.get(key) is None:
+            continue  # the forced modes, which an empty list is not
+        table = _MODE if key.endswith("modes") else _STATE_ENTRY
+        entries = [_read_mode(entry, table, f"analysis.{key}[{i}]", n_cut, errors)
+                   for i, entry in enumerate(values.get(key) or [])]
+        values[key] = tuple(e["mode"] if table is _MODE else (e["mode"], e["amplitude"])
+                            for e in entries if "mode" in e)
+    obs = values.get("observable")
+    if obs is not None and obs.get("kind") == "total_energy":  # a total needs no mode
+        values["observable"] = Observable("total_energy")
+    elif obs is not None:
+        obs = _read_mode(obs, _OBSERVABLE, "analysis.observable", n_cut, errors)
+        values["observable"] = (Observable(obs["kind"], obs["mode"], obs["scale"])
+                                if "mode" in obs else None)
+    return values
+
+
+def _check_horizon(where: str, horizon, dt, stride, burn_in, errors: list[str]) -> None:
+    """A horizon is a whole number of steps of ``dt``, and at least two of its
+    snapshots (the last two, as times increase) lie at times >= burn_in, the
+    window ``time_average`` averages over."""
+    if horizon is None or dt is None:
+        return
+    n = horizon / dt
+    if not math.isfinite(n) or round(n) < 1 or abs(n - round(n)) > 1e-9 * max(1.0, n):
+        errors.append(f"{where}={horizon} must be a positive whole number of steps of dt={dt}")
+    elif None not in (stride, burn_in) and (
+            dt * snapshot_steps(round(n), stride)[-2] < burn_in - 1e-12):
+        errors.append(f"analysis.burn_in must leave two snapshots of {where}={horizon} "
+                      f"(snapshot_stride={stride}) at times >= {burn_in}")
 
 
 def validate_config(doc: dict) -> ExperimentConfig:
-    errors: list[str] = []
     if not isinstance(doc, dict):
         raise ConfigError(["top-level document must be an object"])
-    _check_keys(doc, _TOP_KEYS, "", errors)
+    errors = [f"unknown key {key!r} at {key}" for key in doc if key not in {*SECTIONS, "noise"}]
+    eq = _read(doc.get("equation"), _EQUATION, "equation", errors)
+    n_cut, dt, grid = eq.get("n_cut"), eq.get("dt"), eq.get("grid")
+    if grid is not None and n_cut is not None and grid < 3 * n_cut + 1:
+        errors.append(f"equation.grid={grid} must be at least 3*n_cut + 1 = {3 * n_cut + 1}")
+    amplitudes = _read_noise(doc.get("noise"), n_cut, errors)
+    run = _read(doc.get("run"), _RUN, "run", errors)
+    analysis = _read_analysis(doc.get("analysis", {}), n_cut, errors)
 
-    eq = doc.get("equation")
-    if not isinstance(eq, dict):
-        errors.append("missing 'equation' section")
-        eq = {}
-    _check_keys(eq, _EQUATION_KEYS, "equation", errors)
-    alpha = eq.get("alpha")
-    beta = eq.get("beta")
-    n_cut = eq.get("n_cut")
-    dt = eq.get("dt")
-    if not _is_number(alpha):
-        errors.append("equation.alpha must be a finite number")
-    elif alpha <= 1:
-        errors.append(f"equation.alpha must exceed 1 (got {alpha})")
-    if not _is_number(beta):
-        errors.append("equation.beta must be a finite number")
-    elif beta <= 1:
-        errors.append(f"equation.beta must exceed 1 (got {beta})")
-    if not _is_int(n_cut) or n_cut < 1:
-        errors.append("equation.n_cut must be a positive integer")
-    if not _is_number(dt) or dt <= 0:
-        errors.append("equation.dt must be a positive finite number")
-    grid = eq.get("grid")
-    if grid is not None and (not _is_int(grid) or grid % 2 or
-                             (_is_int(n_cut) and grid < 3 * n_cut + 1)):
-        errors.append("equation.grid must be an even integer >= 3*n_cut + 1")
-    nonlin = eq.get("nonlinearity_enabled", True)
-    if not isinstance(nonlin, bool):
-        errors.append("equation.nonlinearity_enabled must be a boolean")
-
-    noise_doc = doc.get("noise")
-    if not isinstance(noise_doc, dict):
-        errors.append("missing 'noise' section")
-        noise_doc = {}
-    _check_keys(noise_doc, _NOISE_KEYS, "noise", errors)
-    z0 = noise_doc.get("z0")
-    amplitudes: dict[tuple, tuple[float, float]] = {}
-    if not isinstance(z0, list) or not z0:
-        errors.append("noise.z0 must be a nonempty list of forced-mode entries")
-    else:
-        for i, entry in enumerate(z0):
-            where = f"noise.z0[{i}]"
-            if not isinstance(entry, dict):
-                errors.append(f"{where} must be an object")
-                continue
-            _check_keys(entry, {"k", "amplitudes"}, where, errors)
-            k = entry.get("k")
-            amps = entry.get("amplitudes", [1.0, 1.0])
-            if (not isinstance(k, list) or len(k) != 2
-                    or not all(_is_int(v) for v in k)):
-                errors.append(f"{where}.k must be a pair of integers")
-                continue
-            k = (k[0], k[1])
-            if k == (0, 0):
-                errors.append(f"{where}.k must be nonzero")
-                continue
-            if (not isinstance(amps, list) or len(amps) != 2
-                    or not all(_is_number(a) for a in amps)):
-                errors.append(f"{where}.amplitudes must be a pair of finite numbers")
-                continue
-            if any(a == 0 for a in amps):
-                errors.append(f"{where}: amplitudes must be non-zero")
-                continue
-            if _is_int(n_cut) and norm_sq(k) > n_cut * n_cut:
-                errors.append(f"{where}: forced mode {list(k)} outside truncation "
-                              f"n_cut={n_cut}")
-                continue
-            if k in amplitudes:
-                errors.append(f"{where}: duplicate forced mode {list(k)}")
-                continue
-            amplitudes[k] = (float(amps[0]), float(amps[1]))
-        if not math.isfinite(sum(a * a for pair in amplitudes.values() for a in pair)):
-            errors.append("noise.z0: the sum of squared amplitudes must be finite")
-
-    run_doc = doc.get("run")
-    if not isinstance(run_doc, dict):
-        errors.append("missing 'run' section")
-        run_doc = {}
-    _check_keys(run_doc, _RUN_KEYS, "run", errors)
-    horizon = run_doc.get("T")
-    seed = run_doc.get("seed")
-    if not _is_number(horizon) or horizon <= 0:
-        errors.append("run.T must be a positive finite number")
-    if not _is_int(seed) or seed < 0:
-        errors.append("run.seed must be present and a non-negative integer "
-                      "(stochastic runs never default to wall-clock seeds)")
-    stride = run_doc.get("snapshot_stride", 1)
-    if not _is_int(stride) or stride < 1:
-        errors.append("run.snapshot_stride must be a positive integer")
-    ensemble = run_doc.get("ensemble_size", 1)
-    if not _is_int(ensemble) or ensemble < 1:
-        errors.append("run.ensemble_size must be a positive integer")
-    workers = run_doc.get("workers", 1)  # validated for compatibility; nothing reads it
-    if not _is_int(workers) or workers < 1:
-        errors.append("run.workers must be a positive integer")
-    _check_whole_steps("run.T", horizon, dt, errors)
-
-    analysis = doc.get("analysis", {})
-    if not isinstance(analysis, dict):
-        errors.append("'analysis' must be an object")
-        analysis = {}
-    _check_finite(analysis, "analysis", errors)
-    _check_analysis(analysis, n_cut if _is_int(n_cut) else None, dt, errors)
+    burn_in, stride = analysis.get("burn_in"), run.get("snapshot_stride")
+    _check_horizon("run.T", run.get("T"), dt, stride, burn_in, errors)
+    pilot = analysis.get("pilot_horizon")  # clt's pilot run caps its burn-in at half of it
+    _check_horizon("analysis.pilot_horizon", pilot, dt, stride,
+                   None if None in (pilot, burn_in) else min(burn_in, 0.5 * pilot), errors)
 
     if errors:
         raise ConfigError(errors)
 
-    params = EquationParams(alpha=float(alpha), beta=float(beta), n_cut=n_cut,
-                            dt=float(dt), nonlinearity_enabled=nonlin, grid=grid)
-    noise = NoiseSpec.from_amplitudes(amplitudes)
-    run = RunParams(horizon=float(horizon), seed=seed, snapshot_stride=stride,
-                    ensemble_size=ensemble)
-    return ExperimentConfig(equation=params, noise=noise, run=run,
-                            analysis=analysis, raw=doc)
+    params = EquationParams(alpha=float(eq["alpha"]), beta=float(eq["beta"]), n_cut=n_cut,
+                            dt=float(dt), nonlinearity_enabled=eq["nonlinearity_enabled"],
+                            grid=grid)
+    run_params = RunParams(horizon=float(run["T"]), seed=run["seed"],
+                           snapshot_stride=stride, ensemble_size=run["ensemble_size"])
+    return ExperimentConfig(equation=params, noise=NoiseSpec.from_amplitudes(amplitudes),
+                            run=run_params, analysis=Analysis(**analysis), raw=doc)
 
 
 def parse_config(path: str, overrides: Optional[dict[str, Any]] = None) -> ExperimentConfig:
     """Load, override, and validate a JSON experiment configuration."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError([f"not valid JSON: {exc}"]) from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError([f"not valid JSON: {exc}"]) from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError([f"--config {path!r} cannot be read: {exc}"]) from exc
     if overrides:
         doc = apply_overrides(doc, overrides)
     return validate_config(doc)

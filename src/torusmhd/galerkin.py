@@ -311,8 +311,9 @@ class NoiseSpec:
         return len(self.entries)
 
     def e0(self) -> float:
-        """Trace of the forcing covariance, sum of squared amplitudes."""
-        return float(sum(e.amplitude**2 for e in self.entries))
+        """Trace of the forcing covariance, sum of squared amplitudes (inf past the
+        float range: ``a * a`` overflows to inf where ``a**2`` raises)."""
+        return float(sum(e.amplitude * e.amplitude for e in self.entries))
 
     def amplitudes(self) -> np.ndarray:
         return np.array([e.amplitude for e in self.entries])

@@ -1,11 +1,9 @@
 """Configuration validation and end-to-end CLI artifact checks."""
 
 import contextlib
-import inspect
 import io
 import json
 import math
-import re
 import tempfile
 from pathlib import Path
 
@@ -21,7 +19,9 @@ from torusmhd.config import (
     parse_config,
     validate_config,
 )
-from torusmhd.diagnostics import PILOT_STREAM
+from torusmhd.diagnostics import PILOT_STREAM, Observable
+from torusmhd.galerkin import NoiseSpec
+from torusmhd.lattice import COS, MAGNETIC, SIN, make_mode
 
 
 def write_config(tmp_path: Path, doc: dict, name: str = "cfg.json") -> str:
@@ -83,14 +83,42 @@ class TestValidation:
         doc["noise"]["z0"][0]["amplitudes"] = [1e153, 1e153]
         assert validate_config(doc).noise.e0() == pytest.approx(2e306)
 
-    def test_every_analysis_key_the_cli_reads_is_accepted(self):
-        # a subcommand that reads a new analysis key must teach config that
-        # key, or the key would be rejected as a typo
-        src = inspect.getsource(cli)
-        read = set(re.findall(r'analysis\.get\(\s*"(\w+)"', src))
-        read |= set(re.findall(r'_state\([^()]*"(\w+)"\)', src))
-        assert {"observable", "paths", "replicas", "initial_state", "u0_a", "u0_b"} <= read
-        assert read <= config._ANALYSIS_KEYS, read - config._ANALYSIS_KEYS
+    def test_empty_analysis_yields_the_defaults(self):
+        doc = small_config()
+        doc["analysis"] = {}
+        analysis = validate_config(doc).analysis
+        assert (analysis.paths, analysis.cone_n, analysis.cone_samples) == (1, 1, 200)
+        assert (analysis.basis_level, analysis.replicas, analysis.pilot_horizon) == (None,) * 3
+        for value, default in ((analysis.cone_alpha, 0.5), (analysis.eta, 0.01),
+                               (analysis.burn_in, 0.0)):
+            assert type(value) is float and value == default
+        assert analysis.observable is None and analysis.track_modes is None
+        assert analysis.initial_state == analysis.u0_a == analysis.u0_b == ()
+        assert analysis.profile_modes == ()
+
+    def test_values_are_typed_once(self):
+        doc = small_config()
+        doc["analysis"] = {"cone_alpha": 1, "eta": 1, "burn_in": 0, "track_modes": [],
+                           "u0_b": [{"k": [0, 1], "amplitude": 3}],
+                           "observable": {"k": [1, 0], "parity": 1, "scale": 2}}
+        analysis = validate_config(doc).analysis
+        assert [type(v) for v in (analysis.cone_alpha, analysis.eta, analysis.burn_in)] == \
+            [float] * 3
+        assert analysis.track_modes == ()
+        ((mode, amplitude),) = analysis.u0_b
+        assert mode == make_mode(MAGNETIC, (0, 1), COS) and type(amplitude) is float
+        assert analysis.observable == Observable("mode_coefficient",
+                                                 make_mode(MAGNETIC, (1, 0), SIN), 2.0)
+
+    def test_every_schema_key_has_malformed_values(self):
+        # a key added to a table must also join the property test below
+        keys = {f"{section}.{key}" for section, table in config.SECTIONS.items()
+                for key in table}
+        assert keys <= set(MALFORMED), keys - set(MALFORMED)
+
+    def test_infinite_amplitude_square_is_inf(self):
+        noise = NoiseSpec.from_amplitudes({(0, 1): (1e200, 1.0)})
+        assert noise.e0() == math.inf
 
     def test_missing_seed_rejected(self):
         doc = small_config()
@@ -186,6 +214,18 @@ class TestCli:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "config"
         assert any("alpha" in v for v in err["violations"])
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not_utf8"])
+    def test_unreadable_config_is_a_config_error(self, tmp_path, capsys, kind):
+        path = {"missing": tmp_path / "absent.json", "directory": tmp_path,
+                "not_utf8": tmp_path / "latin1.json"}[kind]
+        (tmp_path / "latin1.json").write_bytes(b'{"equation": "\xe9"}')
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config"
+        assert len(err["violations"]) == 1 and err["violations"][0].startswith("--config")
+        assert not out.exists()
 
     def test_bracket_verify_cli(self, tmp_path, capsys):
         out = tmp_path / "bracket"
@@ -465,16 +505,25 @@ class TestMalformedConfigContract:
         pytest.param("analysis.cone_alfa=0.5", id="typo_cone_alfa"),
         pytest.param('analysis.observabel={"kind":"total_energy"}', id="typo_observabel"),
         pytest.param('noise.z0=[{"k":[0,1],"amplitudes":[1e308,1e308]}]',
-                     id="z0_squares_overflow")])
+                     id="z0_squares_overflow"),
+        # the averaging window after the burn-in must hold two snapshots
+        pytest.param("analysis.burn_in=1.0", id="burn_in_at_T"),
+        pytest.param(("run.T=0.05", "analysis.burn_in=5"), id="burn_in_past_T"),
+        pytest.param(("run.T=0.05", "analysis.burn_in=0.05"), id="burn_in_at_short_T"),
+        pytest.param(("run.T=0.05", "analysis.burn_in=0.01", "analysis.pilot_horizon=0.001"),
+                     id="burn_in_empties_pilot"),
+        pytest.param("run.T=1e-12", id="T_under_half_a_step")])
     def test_example_config_probes_exit_2(self, tmp_path, capsys, override):
         example = Path(__file__).resolve().parents[1] / "config.example.json"
+        overrides = (override,) if isinstance(override, str) else override
+        flags = [arg for item in overrides for arg in ("--set", item)]
         for command in ("malliavin", "clt"):  # validation does not depend on the command
             out = tmp_path / command
-            code = main([command, "--config", str(example), "--out", str(out),
-                         "--set", override])
+            code = main([command, "--config", str(example), "--out", str(out)] + flags)
             assert code == 2
             violations = json.loads(capsys.readouterr().err)["violations"]
-            assert any(override.partition("=")[0] in v for v in violations), violations
+            key = overrides[-1].partition("=")[0]
+            assert any(key in v for v in violations), violations
             assert not out.exists()
 
     def test_negative_seed_flag_rejected(self, tmp_path, capsys):
