@@ -363,9 +363,14 @@ def cmd_moment(cfg: ExperimentConfig, basis: ModeBasis, out: OutputDir) -> None:
     logs = np.array([p.log_statistic for p in probes])
     # pathwise bound shape: C * exp(eta ||U0||^2 e^{-t}); fit C on the ensemble mean
     u0_sq = float(u0.coeffs @ u0.coeffs)
-    envelope = np.exp(eta * u0_sq * np.exp(-(times - times[0])))
-    mean_stat = np.exp(logs).mean(axis=0)
-    c_fit = float(np.max(mean_stat / envelope))
+    with np.errstate(over="ignore", invalid="ignore"):
+        envelope = np.exp(eta * u0_sq * np.exp(-(times - times[0])))
+        mean_stat = np.exp(logs).mean(axis=0)
+        c_fit = float(np.max(mean_stat / envelope))
+    for name, value in (("ensemble mean", mean_stat), ("fitted prefactor", c_fit)):
+        if not np.isfinite(value).all():
+            raise RuntimeError(f"moment: the {name} of the statistic exp(log_statistic) "
+                               f"is not finite at eta={eta:g}")
     header = ["time", "ensemble_mean"] + [f"traj{i}" for i in range(n_traj)]
     rows = [[float(times[i]), float(mean_stat[i])] + [float(logs[j, i]) for j in range(n_traj)]
             for i in range(len(times))]

@@ -35,11 +35,10 @@ from .galerkin import (
     EquationParams,
     ModeBasis,
     NoiseSpec,
-    SimulationError,
     SpectralState,
     TrajectoryRecord,
     ensemble,
-    simulate,
+    simulate,  # unused here, but benchmarks/tracing.py wraps diagnostics.simulate
     sobolev_energy,
     trajectory_seed,
 )
@@ -120,20 +119,34 @@ PILOT_STREAM = 1_000_000_007
 CONE_STREAM = 1
 
 
+#: Coefficients of the snapshots an ensemble holds before it reduces them.
+HELD_COEFFS = 1 << 15
+
+
 def _replica_series(u0: SpectralState, params: EquationParams, noise: NoiseSpec,
                     horizon: float, seed, streams, reduce: Callable[[np.ndarray], np.ndarray],
                     snapshot_stride: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Snapshot times and ``reduce(coeffs)`` of every snapshot of an ensemble.
 
     The ensemble runs one replica of ``u0`` per stream index in ``streams``;
-    ``reduce`` maps the (R, dim) states of one snapshot to (R, ...) values,
-    which are stacked as (n_snapshots, R, ...).  Only reduced values are kept.
+    ``reduce`` maps (..., R, dim) states to (..., R, ...) values, which are
+    stacked as (n_snapshots, R, ...).  Snapshots are reduced in chunks of at
+    most ``HELD_COEFFS`` coefficients, so only reduced values are kept.
     """
-    times, values = [], []
+    times, held, values = [], [], []
+
+    def reduce_held():
+        values.append(np.array(reduce(np.array(held))))  # a copy: no view keeps the chunk alive
+        held.clear()
+
     for t, coeffs in ensemble(u0, params, noise, horizon, seed, streams, snapshot_stride):
         times.append(t)
-        values.append(np.array(reduce(coeffs)))  # a copy: no view keeps the states alive
-    return np.array(times), np.array(values)
+        held.append(coeffs)  # a fresh array that the time loop never writes again
+        if len(held) * coeffs.size >= HELD_COEFFS:
+            reduce_held()
+    if held:
+        reduce_held()
+    return np.array(times), np.concatenate(values)
 
 
 def cone_seed(master, path: int) -> np.random.SeedSequence:
@@ -153,15 +166,25 @@ def cone_seed(master, path: int) -> np.random.SeedSequence:
 # Law of large numbers.
 # ---------------------------------------------------------------------------
 
+def _window(times: np.ndarray, burn_in: float) -> np.ndarray:
+    """Mask of the snapshot times from ``burn_in`` on; it must hold two or more."""
+    mask = times >= burn_in - 1e-12
+    if mask.sum() < 2:
+        raise ValueError("averaging window is empty")
+    return mask
+
+
+def _trapezoid_mean(values: np.ndarray, times: np.ndarray) -> float:
+    return float(np.trapezoid(values, times) / (times[-1] - times[0]))
+
+
 def time_average(rec: TrajectoryRecord, obs: Observable,
                  burn_in: float = 0.0) -> ErgodicReport:
     """Trapezoid time average over [burn_in, T] with error bars from 20 batch means."""
-    mask = rec.times >= burn_in - 1e-12
-    if mask.sum() < 2:
-        raise ValueError("averaging window is empty")
+    mask = _window(rec.times, burn_in)
     times = rec.times[mask]
     values = obs.of_states(rec.basis, rec.states)[mask]
-    estimate = float(np.trapezoid(values, times) / (times[-1] - times[0]))
+    estimate = _trapezoid_mean(values, times)
     nb = min(20, len(values))
     usable = (len(values) // nb) * nb
     batches = values[:usable].reshape(nb, -1).mean(axis=1)
@@ -214,23 +237,22 @@ def clt_sample(u0: SpectralState, params: EquationParams, noise: NoiseSpec,
                snapshot_stride: int = 1) -> CltReport:
     """Normalized-deviation samples of the time integral across replicas.
 
-    The centering constant comes from one long pilot run; each replica then
-    contributes (1/sqrt(T)) * integral of (Phi - m_hat).
+    The centering constant m_hat is the time average of one long pilot run on
+    stream ``PILOT_STREAM``, a one-row ensemble that keeps only the observable's
+    values; each replica then contributes (1/sqrt(T)) * integral of (Phi - m_hat).
     """
     if n_replicas < 2:
         raise ValueError("need at least two replicas")
     if pilot_horizon is None:
         pilot_horizon = 4.0 * horizon
-    try:
-        pilot = simulate(u0, params, noise, pilot_horizon,
-                         trajectory_seed(seed, PILOT_STREAM), snapshot_stride=snapshot_stride)
-    except SimulationError as exc:
-        raise SimulationError(exc.time, exc.step, PILOT_STREAM, exc.last_norm) from None
-    m_hat = time_average(pilot, obs, burn_in=min(burn_in, 0.5 * pilot_horizon)).estimate
-    del pilot  # its states are not needed while the replicas run
+    reduce = obs.reducer(u0.basis)
+    times, values = _replica_series(u0, params, noise, pilot_horizon, seed, [PILOT_STREAM],
+                                    reduce, snapshot_stride)
+    mask = _window(times, min(burn_in, 0.5 * pilot_horizon))
+    m_hat = _trapezoid_mean(values[mask, 0], times[mask])
 
     times, values = _replica_series(u0, params, noise, horizon, seed, range(n_replicas),
-                                    obs.reducer(u0.basis), snapshot_stride)
+                                    reduce, snapshot_stride)
     mask = times >= burn_in - 1e-12
     samples = np.array([normalized_integral(values[mask, i], times[mask], m_hat)
                         for i in range(n_replicas)])

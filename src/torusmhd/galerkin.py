@@ -9,9 +9,12 @@ The quadratic advection term B(U, V) has two independent realizations:
 
   * the triad table - every non-zero mode-pair coupling of the truncation,
                       built once per n_cut from the symbolic advection engine;
-                      B is one gather, multiply and ``bincount``, and the same
-                      entries assemble the dense linearization whose
-                      transpose is the adjoint;
+                      B(U, V) is one gather, multiply and ``bincount``.  The
+                      same entries, merged, assemble the dense linearization
+                      whose transpose is the adjoint; merged once more over
+                      unordered pairs and sorted by output, they give the
+                      time loop's B(U, U) as two gathers, a multiply and one
+                      ``np.add.reduceat``;
   * the grid route  - the conservative (divergence) form div(u (x) v) of
                       the advection, which holds because the advecting
                       fields are divergence-free: one inverse real FFT builds
@@ -370,11 +373,13 @@ def _pair_projection(k: Vec, m: int, l: Vec, m2: int) -> tuple:
 
 #: Largest n_cut at which the simulator takes B from the triad table.  Its
 #: work grows like n_cut^4, the FFT's like n_cut^2 log n_cut plus a fixed
-#: per-call overhead.  Per state on a 2-vCPU x86 VM, table against FFT: a
-#: lone state 65 against 140 us at n_cut=4 and 95-135 against 92-159 us at 5;
-#: a row of a 120-row batch 41-115 against 37-75 us at 4 and 232-297 against
-#: 35-54 us at 5.  The route depends on n_cut only, so that a batched row
-#: equals the lone state bit for bit.
+#: per-call overhead.  B(U, U) per state on a 2-vCPU x86 VM, the table's pair
+#: list against the FFT, over two runs: a lone state 34-35 against 169-174 us
+#: at n_cut=4, 67-71 against 156-165 us at 5 and 131-134 against 188-223 us
+#: at 6; a row of a 120-row batch 40-49 against 57-63 us at 4, 99-112 against
+#: 48-72 us at 5 and 259-338 against 85-87 us at 6.  At 5 the two disagree, so
+#: the table stops at 4.  The route depends on n_cut only, so that a batched
+#: row equals the lone state bit for bit.
 TRIAD_MAX_N_CUT = 4
 
 
@@ -397,7 +402,8 @@ class TriadTable:
     The entries are exact mode-pair projections from the symbolic advection
     engine, so this route shares no code with the grid transforms.  The same
     entries give the linearization at a state as a dense matrix, whose
-    transpose is then the exact adjoint.
+    transpose is then the exact adjoint, and B(U, U) for the time loop
+    (``square``).
     """
 
     def __init__(self, n_cut: int):
@@ -435,6 +441,34 @@ class TriadTable:
         keys, inverse = np.unique(cell * dim + state, return_inverse=True)
         self.jac_cell, self.jac_state = np.divmod(keys, dim)
         self.jac_coeff = np.bincount(inverse.ravel(), coeff, len(keys))
+        # L(U) U = 2 B(U, U): merge those entries once more over the unordered
+        # pair {column, state}, sorted by row, so B(U, U)_i = sum sq_coeff *
+        # U[sq_first] * U[sq_second] over the entries from sq_starts[i].  Entries
+        # that merge to exactly 0 are kept: at an overflow they give inf * 0 = NaN,
+        # as the unmerged triads of ``apply`` do.  Every row has entries from
+        # n_cut = 2 on; at n_cut = 1 no two modes couple and the list is empty.
+        row, col = np.divmod(self.jac_cell, dim)
+        lo, hi = np.minimum(col, self.jac_state), np.maximum(col, self.jac_state)
+        keys, inverse = np.unique((row * dim + lo) * dim + hi, return_inverse=True)
+        row, pair = np.divmod(keys, dim * dim)
+        self.sq_first, self.sq_second = np.divmod(pair, dim)
+        self.sq_coeff = 0.5 * np.bincount(inverse.ravel(), self.jac_coeff, len(keys))
+        self.sq_starts = np.searchsorted(row, np.arange(dim))
+
+    def square(self, cu: np.ndarray) -> np.ndarray:
+        """B(U, U) for a state (dim,) or a batch (R, dim): gathers and one ``reduceat``.
+
+        A lone state takes the (1, dim) view of a batch row, so that each batch
+        row equals the lone call bit for bit.
+        """
+        cu = np.asarray(cu)
+        if not self.sq_coeff.size:
+            return np.zeros(cu.shape)
+        rows = cu.reshape(-1, cu.shape[-1])
+        terms = np.take(rows, self.sq_first, -1)
+        terms *= np.take(rows, self.sq_second, -1)
+        terms *= self.sq_coeff  # last: (c U_j) U_k would overflow at another step
+        return np.add.reduceat(terms, self.sq_starts, -1).reshape(cu.shape)
 
     def apply(self, cu: np.ndarray, cv: np.ndarray) -> np.ndarray:
         """B(U, V), broadcast over the leading axes of both arguments."""
@@ -464,22 +498,24 @@ def bilinear_convolution(basis: ModeBasis, cu: np.ndarray, cv: np.ndarray) -> np
 
 
 def _route(basis: ModeBasis, path: Optional[str] = None):
-    """B as a function of (U, V): the named route, or the faster one at this n_cut.
+    """(B(U, V), B(U, U)) as functions: the named route, or the faster one at this n_cut.
 
     Looked up on each call, so it binds a wrapper installed on ``bilinear_transform``."""
     if path is None:
         path = "convolution" if basis.n_cut <= TRIAD_MAX_N_CUT else "transform"
     if path == "transform":
-        return partial(bilinear_transform, basis)
+        B = partial(bilinear_transform, basis)
+        return B, lambda c: B(c, c)
     if path == "convolution":
-        return triad_table(basis.n_cut).apply
+        table = triad_table(basis.n_cut)
+        return table.apply, table.square
     raise ValueError(f"unknown bilinear path {path!r}")
 
 
 def bilinear_B(basis: ModeBasis, cu: np.ndarray, cv: np.ndarray,
                path: Optional[str] = None) -> np.ndarray:
     """B(U, V) by the named route, or by the faster one for this truncation."""
-    return _route(basis, path)(cu, cv)
+    return _route(basis, path)[0](cu, cv)
 
 
 def commutator_with_drift(state: SpectralState, mode: Mode,
@@ -550,24 +586,28 @@ def _integrate(basis: ModeBasis, coeffs: np.ndarray, t0: float,
     # the exact one-step stddev of each forced entry, for increments of variance dt
     scale = noise.amplitudes() * np.sqrt(-np.expm1(-2.0 * lam_f * dt) / (2.0 * lam_f))
     sqrt_dt = math.sqrt(dt)
-    B = _route(basis) if params.nonlinearity_enabled else None
+    # flat indices of every row's forced entries, in the row-major order of a kick
+    forced = (np.arange(coeffs.size // basis.dim)[:, None] * basis.dim + idx).ravel()
+    square = _route(basis)[1] if params.nonlinearity_enabled else None
     snaps = snapshot_steps(n_steps, snapshot_stride)
     times = t0 + dt * np.array(snaps)
     yield times[0], coeffs
     snaps.append(-1)  # no step is due after the last snapshot
     row, n, due = 1, 0, snaps[1]
     for block in dw_blocks:
-        for kick in scale * (block / sqrt_dt):
-            if B is None:
+        for kick in (scale * (block / sqrt_dt)).reshape(len(block), -1):
+            if square is None:
                 advanced = coeffs * decay
             else:
-                advanced = coeffs - dt * B(coeffs, coeffs)
+                advanced = coeffs - dt * square(coeffs)
                 advanced *= decay
-            if idx.size:
-                # through the transposes: every row's forced entries, cheapest when lone
-                advanced.T[idx] += kick.T
+            if forced.size:
+                # one flat fancy add, the cheapest for one row and for many
+                advanced.reshape(-1)[forced] += kick
             n += 1
-            if not np.isfinite(advanced).all():
+            # a non-finite entry makes the squared norm non-finite; the entrywise
+            # test runs only then, or when the norm overflows past 1e154
+            if not math.isfinite(np.vdot(advanced, advanced)) and not np.isfinite(advanced).all():
                 finite = np.isfinite(advanced.reshape(-1, basis.dim)).all(-1)
                 bad = int(np.flatnonzero(~finite)[0])
                 raise SimulationError(t0 + n * dt, n,
@@ -596,13 +636,27 @@ def ensemble(state0: SpectralState, params: EquationParams, noise: NoiseSpec,
     streams = [int(i) for i in streams]
     n_steps = _step_count(horizon, params.dt, snapshot_stride)
     rngs = [np.random.default_rng(trajectory_seed(seed, i)) for i in streams]
-    block = max(1, NOISE_BLOCK // max(1, len(rngs) * noise.dim))
-    dw_blocks = (np.stack([rng.standard_normal((min(block, n_steps - s), noise.dim))
-                           for rng in rngs], axis=1) * math.sqrt(params.dt)
-                 for s in range(0, n_steps, block))
     coeffs = np.tile(state0.coeffs, (len(rngs), 1))
     return _integrate(state0.basis, coeffs, state0.time, params, noise, n_steps,
-                      snapshot_stride, dw_blocks, streams)
+                      snapshot_stride, _increment_blocks(rngs, n_steps, noise.dim, params.dt),
+                      streams)
+
+
+def _increment_blocks(rngs, n_steps: int, d: int, dt: float):
+    """Yield the Brownian increments of the replicas on ``rngs`` as (steps, R, d) blocks.
+
+    Each replica's block is drawn in place into its row of one (R, steps, d)
+    buffer, and a block is the transposed view of that buffer: the time loop
+    scales it to noise kicks before it asks for the next block.
+    """
+    block = max(1, NOISE_BLOCK // max(1, len(rngs) * d))
+    buffer = np.empty((len(rngs), min(block, n_steps), d))
+    for start in range(0, n_steps, block):
+        draws = buffer[:, :min(block, n_steps - start)]
+        for rng, row in zip(rngs, draws):
+            rng.standard_normal(out=row)
+        draws *= math.sqrt(dt)
+        yield draws.transpose(1, 0, 2)
 
 
 @dataclass

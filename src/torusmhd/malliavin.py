@@ -290,6 +290,12 @@ class ConeReport:
         }
 
 
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+# golden-section steps of the cone dual after its first two points: they
+# shrink the log-mu bracket, ln(1e9) wide, to about 1e-5
+_GOLDEN_STEPS = 30
+
+
 def cone_infimum(matrix: MalliavinMatrix, cone: ConeSpec, samples: int = 200,
                  seed=0) -> ConeReport:
     """Three spectral statistics of the Gram matrix over the cone.
@@ -325,25 +331,27 @@ def cone_infimum(matrix: MalliavinMatrix, cone: ConeSpec, samples: int = 200,
     sampled = float(min(phi @ g @ phi for phi in candidates))
 
     # weak duality: for unit phi on the cone and mu >= 0,
-    # phi' G phi >= lambda_min(G - mu (P - alpha I)); the left side is a
-    # concave function of mu, so a coarse grid plus a bounded 1-D
-    # refinement around its best point recovers the optimum.
-    pmat = np.zeros(dim)
-    pmat[p_idx] = 1.0
-    shift = np.diag(pmat - cone.alpha)
-    dual_val = lambda mu: float(np.linalg.eigvalsh(g - mu * shift)[0])
+    # phi' G phi >= lambda_min(G - mu (P - alpha I)).  Every mu >= 0 gives a
+    # valid bound, so the search below decides only how tight it is.  The
+    # right side is concave in mu, hence unimodal in log mu: take mu = 0 and a
+    # golden-section search on log mu over [1e-6, 1e3] * (trace / dim), whose
+    # bracket shrinks by 1/phi per eigensolve.
+    shift = np.diag(in_p - cone.alpha)
+    dual_val = lambda log_mu: float(np.linalg.eigvalsh(g - math.exp(log_mu) * shift)[0])
     scale = max(float(np.trace(g)) / dim, 1e-300)
-    grid = np.concatenate([[0.0], np.geomspace(1e-6 * scale, 1e3 * scale, 61)])
-    values = [dual_val(mu) for mu in grid]
-    i_best = int(np.argmax(values))
-    best = values[i_best]
-    lo = grid[max(i_best - 1, 0)]
-    hi = grid[min(i_best + 1, len(grid) - 1)]
-    if hi > lo:
-        from scipy.optimize import minimize_scalar
-        res = minimize_scalar(lambda mu: -dual_val(mu), bounds=(lo, hi),
-                              method="bounded", options={"xatol": 1e-12 * max(hi, 1.0)})
-        best = max(best, -float(res.fun))
+    lo, hi = math.log(1e-6 * scale), math.log(1e3 * scale)
+    left, right = hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo)
+    f_left, f_right = dual_val(left), dual_val(right)
+    for _ in range(_GOLDEN_STEPS):
+        if f_left >= f_right:  # the maximum is not right of ``right``
+            hi, right, f_right = right, left, f_left
+            left = hi - _INV_PHI * (hi - lo)
+            f_left = dual_val(left)
+        else:
+            lo, left, f_left = left, right, f_right
+            right = lo + _INV_PHI * (hi - lo)
+            f_right = dual_val(right)
+    best = max(float(np.linalg.eigvalsh(g)[0]), f_left, f_right)
     return ConeReport(compressed_min_eig=compressed, sampled_inf=sampled,
                       dual_lower_bound=best, samples=samples, seed=seed)
 

@@ -346,6 +346,18 @@ class TestCli:
         assert report["eta"] == 0.05
         assert (out / "moment_series.csv").exists()
 
+    def test_moment_overflow_is_a_runtime_error(self, tmp_path, capsys):
+        # exp(eta ||U||^2) overflows the float range: no Infinity is written
+        example = Path(__file__).resolve().parents[1] / "config.example.json"
+        out = tmp_path / "mom"
+        code = main(["moment", "--config", str(example), "--out", str(out),
+                     "--set", "analysis.eta=1e300", "--set", "run.T=0.01"])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert (err["error"], err["type"]) == ("runtime", "RuntimeError")
+        assert "ensemble mean" in err["message"]
+        assert not out.exists()
+
     def test_malliavin_subcommand(self, tmp_path):
         doc = small_config(horizon=0.02)
         doc["analysis"] = {"cone_alpha": 0.5, "cone_n": 1, "paths": 1,

@@ -175,6 +175,19 @@ class TestBilinear:
             for row in range(5):
                 assert np.array_equal(batch[row], bilinear_transform(basis, a[row], b[row]))
 
+    @pytest.mark.parametrize("n_cut", range(1, 7))
+    def test_square_matches_triads(self, n_cut):
+        # the time loop's B(U, U) from the output-sorted pair list, against the
+        # unmerged triads; batched rows equal lone calls bit for bit
+        table = triad_table(n_cut)
+        rng = np.random.default_rng(40 + n_cut)
+        lone, *batch = rng.standard_normal((6, ModeBasis(n_cut).dim))
+        batch = np.array(batch)
+        for c in (lone, batch):
+            want = table.apply(c, c)
+            assert np.max(np.abs(table.square(c) - want)) <= 1e-14 * np.max(np.abs(want))
+        assert all(np.array_equal(row, table.square(c)) for row, c in zip(table.square(batch), batch))
+
     def test_merged_jacobian_matches_unmerged_triads(self):
         # apply sums the unmerged triads, so its rows L e_j = B(U, e_j) + B(e_j, U)
         # check the entries merged per (cell, state) pair
@@ -318,6 +331,15 @@ class TestSimulate:
         rec = simulate(zero_state(basis), params, noise, 10.0, seed=21,
                        snapshot_stride=100)
         assert np.all(np.isfinite(rec.states))
+
+    def test_huge_finite_states_are_no_blowup(self):
+        # the squared norm of 1e200 entries overflows; the entries do not
+        basis = ModeBasis(2)
+        params = make_params(n_cut=2, nonlinearity_enabled=False)
+        noise = NoiseSpec.uniform([(0, 1)], 1.0)
+        rec = simulate(SpectralState(basis, 1e200 * np.ones(basis.dim)), params, noise, 0.005,
+                       seed=0)
+        assert np.all(np.isfinite(rec.states)) and np.min(rec.states[-1]) > 1e199
 
     def test_blowup_reported_with_time(self):
         basis = ModeBasis(2)

@@ -18,6 +18,7 @@ from torusmhd.galerkin import (
     SpectralState,
     bilinear_transform,
     simulate,
+    trajectory_seed,
     triad_table,
     unit_mode_state,
     zero_state,
@@ -355,6 +356,49 @@ class TestConeInfimum:
                               horizon=1.0, quadrature_steps=10)
         rep = cone_infimum(mat, ConeSpec(alpha=0.5, n=1), samples=100, seed=2)
         assert rep.dual_lower_bound <= rep.sampled_inf + 1e-10
+
+    @staticmethod
+    def grid_and_brent_dual(mat, cone):
+        """The dual bound by a 62-point mu grid refined by scipy's bounded Brent search."""
+        from scipy.optimize import minimize_scalar
+
+        g = mat.symmetrized()
+        shift = np.diag([(norm_sq(m.k) <= cone.n**2) - cone.alpha for m in mat.modes])
+        dual_val = lambda mu: float(np.linalg.eigvalsh(g - mu * shift)[0])
+        scale = np.trace(g) / len(g)
+        grid = np.concatenate([[0.0], np.geomspace(1e-6 * scale, 1e3 * scale, 61)])
+        values = [dual_val(mu) for mu in grid]
+        i = int(np.argmax(values))
+        lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
+        res = minimize_scalar(lambda mu: -dual_val(mu), bounds=(lo, hi), method="bounded",
+                              options={"xatol": 1e-12 * max(hi, 1.0)})
+        return max(values[i], -float(res.fun))
+
+    @pytest.fixture(scope="class")
+    def gram_matrices(self):
+        rng = np.random.default_rng(17)
+        modes = ModeBasis(3).modes()
+        mats = []
+        for rank in (len(modes), len(modes) // 2, 5):
+            a = rng.standard_normal((len(modes), rank)) * np.exp(rng.uniform(-3, 3, (len(modes), 1)))
+            mats.append(MalliavinMatrix(gram=a @ a.T, modes=modes, horizon=1.0,
+                                        mode_indices=np.arange(len(modes)), quadrature_steps=10))
+        # Gram matrices of the criterion-6 probe
+        params = EquationParams(alpha=1.5, beta=1.5, n_cut=3, dt=1e-3)
+        noise = NoiseSpec.uniform(EXAMPLE_Z0, 1.0)
+        for p in range(2):
+            rec = simulate(zero_state(ModeBasis(3)), params, noise, 1.0, trajectory_seed(1234, p))
+            mats.append(assemble_malliavin(FrozenPath(rec), noise))
+        return mats
+
+    @pytest.mark.parametrize("alpha, n", [(0.5, 1), (0.1, 2), (0.9, 1)])
+    def test_golden_section_dual_keeps_the_grid_and_brent_bound(self, gram_matrices, alpha, n):
+        cone = ConeSpec(alpha=alpha, n=n)
+        for mat in gram_matrices:
+            rep = cone_infimum(mat, cone, samples=50, seed=3)
+            assert rep.dual_lower_bound <= rep.sampled_inf
+            tol = 1e-9 * np.trace(mat.gram) / len(mat.gram)
+            assert rep.dual_lower_bound >= self.grid_and_brent_dual(mat, cone) - tol
 
     def test_bad_cone_spec_rejected(self):
         with pytest.raises(ValueError):
