@@ -20,10 +20,15 @@ The quadratic advection term B(U, V) has two independent realizations:
                       fields are divergence-free: one inverse real FFT builds
                       the fields, their pointwise products take one forward
                       real FFT, and the derivative and the Leray projection
-                      are weights on the retained modes.  The grid has at
-                      least 3*n_cut + 1 points per axis, which keeps the
-                      retained band free of aliased images of quadratic
-                      products (the 2/3 rule with the boundary case excluded).
+                      are weights on the retained modes.  B(U, V) takes eight
+                      products; the time loop's B(U, U) takes three, because
+                      the Leray projection removes the trace part of the
+                      symmetric flux.  Both passes transform along x2 only
+                      the n_cut + 1 columns of the half spectrum that hold
+                      retained modes.  The grid has at least 3*n_cut + 1
+                      points per axis, which keeps the retained band free of
+                      aliased images of quadratic products (the 2/3 rule
+                      with the boundary case excluded).
 
 The simulator uses the table up to ``TRIAD_MAX_N_CUT`` and the FFT above it.
 
@@ -151,19 +156,23 @@ class ModeBasis:
         self.kvec = np.array(self.canon, dtype=int)
         self.ksq = np.array([norm_sq(k) for k in self.canon], dtype=float)
         self.dir0 = np.array([direction(k, COS) for k in self.canon])
-        # flat index of each canonical k in an (m, m/2 + 1) half spectrum, and
-        # where synthesis puts each mode and, for k1 = 0, its conjugate at -k2
-        m, half = self.grid, self.grid // 2 + 1
+        # flat index of each canonical k in the (m, n_cut + 1) columns k1 <= n_cut
+        # of the half spectrum, the only ones a retained mode touches, and where
+        # synthesis puts each mode and, for k1 = 0, its conjugate at -k2
+        m, cols = self.grid, n_cut + 1
         k1, k2 = self.kvec[:, 0], self.kvec[:, 1]
-        self._pick = (k2 % m) * half + k1
+        self._pick = (k2 % m) * cols + k1
         edge = np.flatnonzero(k1 == 0)
-        self._put = np.concatenate([self._pick, (-k2[edge]) % m * half])
+        self._put = np.concatenate([self._pick, (-k2[edge]) % m * cols])
         self._put_src = np.concatenate([np.arange(self.n_k), edge])
         self._put_dir = self.dir0.T[:, self._put_src] / (2.0 * BASIS_NORM)
         # rectangle-rule weights of the projection onto the unit directions,
         # (c, n_k), and of i q_d dir0_c(q) for the divergence form, (2d + c, n_k)
         self._proj = (2.0 * math.pi / m) ** 2 / BASIS_NORM * self.dir0.T
         self._div = 1j * (self.kvec.T[:, None, :] * self._proj).reshape(4, -1)
+        # the same weights on the three products (A, C, w) of ``transform_square``
+        self._div_sq = np.array([self._div[0] - self._div[3], self._div[1] + self._div[2],
+                                 self._div[1] - self._div[2]])
         self._kindex = {k: j for j, k in enumerate(self.canon)}
 
     # -- indexing ----------------------------------------------------------
@@ -205,24 +214,27 @@ class ModeBasis:
     # -- transforms ---------------------------------------------------------
     #
     # A physical field (..., 2, m, m) holds component c at x = 2 pi (j1, j2) / m
-    # in [..., c, j2, j1]: x1 runs along the last axis, the one that rfft2
+    # in [..., c, j2, j1]: x1 runs along the last axis, the one that rfft
     # halves, so the canonical wavevectors (k1 >= 0) need no conjugate fold
-    # except on the k1 = 0 column.
+    # except on the k1 = 0 column.  Both passes transform along x2 only the
+    # columns k1 <= n_cut, the only ones a retained mode touches.  irfft2 runs
+    # that transform first and rfft2 last, column by column, so pruning the
+    # other columns changes no bit.
 
     def synthesize(self, c_slot: np.ndarray) -> np.ndarray:
         """Slot coefficients (..., 2*n_k) -> physical field (..., 2, m, m)."""
-        m, half = self.grid, self.grid // 2 + 1
+        m, cols = self.grid, self.n_cut + 1
         # c_cos + i c_sin per canonical mode, then the edge-column conjugates
         amp = np.ascontiguousarray(c_slot, dtype=float).view(complex)[..., self._put_src]
         np.conjugate(amp[..., self.n_k:], out=amp[..., self.n_k:])
-        hat = np.zeros(amp.shape[:-1] + (2, m * half), dtype=complex)
+        hat = np.zeros(amp.shape[:-1] + (2, m * cols), dtype=complex)
         hat[..., self._put] = amp[..., None, :] * self._put_dir
-        return np.fft.irfft2(hat.reshape(hat.shape[:-1] + (m, half)), s=(m, m),
-                             norm="forward")
+        hat = np.fft.ifft(hat.reshape(hat.shape[:-1] + (m, cols)), axis=-2, norm="forward")
+        return np.fft.irfft(hat, n=m, axis=-1, norm="forward")  # zero-pads k1 > n_cut
 
     def _retained(self, fields: np.ndarray) -> np.ndarray:
         """Fourier sums of real fields (..., m, m) at the canonical modes, (..., n_k)."""
-        hat = np.fft.rfft2(fields)
+        hat = np.fft.fft(np.fft.rfft(fields)[..., :self.n_cut + 1], axis=-2)
         return np.take(hat.reshape(hat.shape[:-2] + (-1,)), self._pick, -1)
 
     def gather(self, fields: np.ndarray) -> np.ndarray:
@@ -348,6 +360,8 @@ def bilinear_transform(basis: ModeBasis, cu: np.ndarray, cv: np.ndarray) -> np.n
     ``cv is cu``), one forward real transform takes the eight products, and
     on the retained modes the derivative and the projection are the weights
     i q_d dir0_c(q).  Broadcasts over the leading axes of both arguments.
+    This is the general form, and the oracle of ``transform_square``, which
+    the time loop calls for B(U, U).
     """
     n = 2 * basis.n_k
     slots = lambda c: c.reshape(c.shape[:-1] + (2, n))  # (velocity, magnetic)
@@ -364,6 +378,29 @@ def bilinear_transform(basis: ModeBasis, cu: np.ndarray, cv: np.ndarray) -> np.n
     return z.view(float).reshape(z.shape[:-2] + (2 * n,))
 
 
+def transform_square(basis: ModeBasis, cu: np.ndarray) -> np.ndarray:
+    """B(U, U) by grid transform: three products where ``bilinear_transform`` takes eight.
+
+    With V = U the flux T_dc = u_d u_c - b_d b_c is symmetric.  Its trace part
+    P delta_dc, P = (|u|^2 - |b|^2) / 2, has divergence grad P, which the Leray
+    projection removes (q . dir0(q) = 0), so T_11 = P + A and T_22 = P - A
+    leave only A = (u1^2 - u2^2 - b1^2 + b2^2) / 2 and C = T_12 = T_21.  And
+    S_dc = u_d b_c - b_d u_c is antisymmetric, S_12 = -S_21 = w = u1 b2 - u2 b1.
+    So the velocity row is (i q_1 dir0_1 - i q_2 dir0_2) A + (i q_1 dir0_2 +
+    i q_2 dir0_1) C and the magnetic row (i q_1 dir0_2 - i q_2 dir0_1) w.
+    Broadcasts over leading axes; a batched row equals the lone call bit for bit.
+    """
+    cu = np.asarray(cu)
+    f = basis.synthesize(cu.reshape(cu.shape[:-1] + (2, 2 * basis.n_k)))
+    (u1, u2), (b1, b2) = np.moveaxis(f, (-4, -3), (0, 1))
+    products = np.stack([0.5 * ((u1 * u1 - u2 * u2) - (b1 * b1 - b2 * b2)),
+                         u1 * u2 - b1 * b2, u1 * b2 - u2 * b1], -3)
+    hat = basis._retained(products)  # (..., 3, n_k)
+    w = basis._div_sq
+    z = np.stack([w[0] * hat[..., 0, :] + w[1] * hat[..., 1, :], w[2] * hat[..., 2, :]], -2)
+    return z.view(float).reshape(cu.shape)
+
+
 @lru_cache(maxsize=200_000)
 def _pair_projection(k: Vec, m: int, l: Vec, m2: int) -> tuple:
     """Unit-basis projection of the advection of one unnormalized mode pair."""
@@ -373,14 +410,21 @@ def _pair_projection(k: Vec, m: int, l: Vec, m2: int) -> tuple:
 
 #: Largest n_cut at which the simulator takes B from the triad table.  Its
 #: work grows like n_cut^4, the FFT's like n_cut^2 log n_cut plus a fixed
-#: per-call overhead.  B(U, U) per state on a 2-vCPU x86 VM, the table's pair
-#: list against the FFT, over two runs: a lone state 34-35 against 169-174 us
-#: at n_cut=4, 67-71 against 156-165 us at 5 and 131-134 against 188-223 us
-#: at 6; a row of a 120-row batch 40-49 against 57-63 us at 4, 99-112 against
-#: 48-72 us at 5 and 259-338 against 85-87 us at 6.  At 5 the two disagree, so
-#: the table stops at 4.  The route depends on n_cut only, so that a batched
-#: row equals the lone state bit for bit.
+#: per-call overhead.  B(U, U) per state on a 2-vCPU x86 VM, ``TriadTable.square``
+#: in blocks of 16 rows against ``transform_square``, over two runs: a lone
+#: state 19-25 against 89-110 us at n_cut=4, 45-65 against 115-139 us at 5 and
+#: 120-127 against 144-162 us at 6; a row of a 120-row batch 13-14 against
+#: 30-34 us at 4, 59-62 against 40-45 us at 5 and 325-328 against 62-65 us
+#: at 6.  At 5 the two disagree, so the table stops at 4.  The route depends
+#: on n_cut only, so that a batched row equals the lone state bit for bit.
 TRIAD_MAX_N_CUT = 4
+
+
+#: Rows of a batch per pass of ``TriadTable.square``.  A block's gathered terms
+#: stay small; those of a whole 120-row batch (4.5 MB at n_cut = 4) are, in a
+#: fresh process, handed back to the system after each step and faulted in
+#: again.  Rows are independent, so blocking changes no bit.
+SQUARE_BLOCK = 16
 
 
 def _scatter_add(index: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
@@ -456,7 +500,8 @@ class TriadTable:
         self.sq_starts = np.searchsorted(row, np.arange(dim))
 
     def square(self, cu: np.ndarray) -> np.ndarray:
-        """B(U, U) for a state (dim,) or a batch (R, dim): gathers and one ``reduceat``.
+        """B(U, U) for a state (dim,) or a batch (R, dim): gathers and one ``reduceat``
+        per block of up to ``SQUARE_BLOCK`` rows.
 
         A lone state takes the (1, dim) view of a batch row, so that each batch
         row equals the lone call bit for bit.
@@ -465,6 +510,10 @@ class TriadTable:
         if not self.sq_coeff.size:
             return np.zeros(cu.shape)
         rows = cu.reshape(-1, cu.shape[-1])
+        if len(rows) > SQUARE_BLOCK:
+            blocks = range(0, len(rows), SQUARE_BLOCK)
+            return np.concatenate([self.square(rows[i:i + SQUARE_BLOCK]) for i in blocks]
+                                  ).reshape(cu.shape)
         terms = np.take(rows, self.sq_first, -1)
         terms *= np.take(rows, self.sq_second, -1)
         terms *= self.sq_coeff  # last: (c U_j) U_k would overflow at another step
@@ -478,12 +527,6 @@ class TriadTable:
         u2, b2 = np.take(cv[..., :w], self.b, -1), np.take(cv[..., w:], self.b, -1)
         vel, mag = self.coeff * (u * u2 - b * b2), self.coeff * (u * b2 - b * u2)
         return np.concatenate([_scatter_add(self.out, vel, w), _scatter_add(self.out, mag, w)], -1)
-
-    def jacobian(self, cu: np.ndarray) -> np.ndarray:
-        """Dense L with L x = B(U, x) + B(x, U) for a single state U."""
-        dim = 2 * self.width
-        weights = self.jac_coeff * np.take(cu, self.jac_state)
-        return np.bincount(self.jac_cell, weights, dim * dim).reshape(dim, dim)
 
 
 @lru_cache(maxsize=None)
@@ -500,12 +543,13 @@ def bilinear_convolution(basis: ModeBasis, cu: np.ndarray, cv: np.ndarray) -> np
 def _route(basis: ModeBasis, path: Optional[str] = None):
     """(B(U, V), B(U, U)) as functions: the named route, or the faster one at this n_cut.
 
-    Looked up on each call, so it binds a wrapper installed on ``bilinear_transform``."""
+    The grid route's B(U, U) is ``transform_square``, not ``bilinear_transform``
+    on (U, U).  Both names are looked up each time this runs, so a run started
+    after a wrapper is installed on either binds the wrapper."""
     if path is None:
         path = "convolution" if basis.n_cut <= TRIAD_MAX_N_CUT else "transform"
     if path == "transform":
-        B = partial(bilinear_transform, basis)
-        return B, lambda c: B(c, c)
+        return partial(bilinear_transform, basis), partial(transform_square, basis)
     if path == "convolution":
         table = triad_table(basis.n_cut)
         return table.apply, table.square

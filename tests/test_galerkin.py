@@ -27,11 +27,14 @@ from torusmhd.galerkin import (
     snapshot_steps,
     sobolev_energy,
     trajectory_seed,
+    transform_square,
     triad_table,
     unit_mode_state,
     zero_state,
 )
-from torusmhd.lattice import COS, SIN, VELOCITY, MAGNETIC, make_mode
+from torusmhd.lattice import BASIS_NORM, COS, SIN, VELOCITY, MAGNETIC, make_mode
+
+from oracles import triad_jacobian
 
 
 def make_params(**kw):
@@ -89,6 +92,27 @@ class TestBasis:
         assert np.max(np.abs(basis.gather(w) - c)) < 1e-13
         quad = np.sum(w**2, axis=(-3, -2, -1)) * (2 * math.pi / basis.grid) ** 2
         assert quad == pytest.approx((c * c).sum(-1), rel=1e-12)
+
+    @pytest.mark.parametrize("n_cut", [1, 3, 5, 8, 10, 16])
+    def test_pruned_passes_equal_full_half_spectrum(self, n_cut):
+        # both passes transform only the columns k1 <= n_cut; the full-spectrum
+        # irfft2 and rfft2 give the same bits
+        basis = ModeBasis(n_cut)
+        m, half = basis.grid, basis.grid // 2 + 1
+        rng = np.random.default_rng(60 + n_cut)
+        c = rng.standard_normal((3, 2 * basis.n_k))
+        k1, k2 = basis.kvec[:, 0], basis.kvec[:, 1]
+        edge = k1 == 0
+        amp = c.view(complex)
+        hat = np.zeros((3, 2, m, half), dtype=complex)
+        for comp in range(2):
+            d = basis.dir0[:, comp] / (2.0 * BASIS_NORM)
+            hat[:, comp, k2 % m, k1] = amp * d
+            hat[:, comp, -k2[edge] % m, 0] = np.conj(amp[:, edge]) * d[edge]
+        want = np.fft.irfft2(hat, s=(m, m), norm="forward")
+        assert np.array_equal(basis.synthesize(c), want)
+        fields = rng.standard_normal((3, 2, m, m))
+        assert np.array_equal(basis._retained(fields), np.fft.rfft2(fields)[..., k2 % m, k1])
 
 
 class TestDissipation:
@@ -158,6 +182,36 @@ class TestBilinear:
             assert np.max(np.abs(bilinear_transform(basis, a, b) - want)) < 1e-12
         assert np.max(np.abs(bilinear_convolution(basis, cu, cv))) > 0.1
 
+    @pytest.mark.parametrize("n_cut", range(5, 11))
+    def test_grid_square_matches_general_form_and_triads(self, n_cut):
+        # three products against eight, and against the exact triads, on a
+        # random state and on states supported on the k1 = 0 column and on
+        # the k2 = 0 row
+        basis = ModeBasis(n_cut)
+        rng = np.random.default_rng(20 + n_cut)
+        states = [rng.standard_normal(basis.dim)]
+        for axis in (0, 1):
+            edge = np.repeat(basis.kvec[:, axis] == 0, 2)
+            states.append(np.where(np.concatenate([edge, edge]), rng.standard_normal(basis.dim),
+                                   0.0))
+        for c in states:
+            got = transform_square(basis, c)
+            for want in (bilinear_transform(basis, c, c.copy()), bilinear_convolution(basis, c, c)):
+                assert np.max(np.abs(got - want)) <= 1e-12 * max(np.max(np.abs(want)), 1.0)
+
+    @pytest.mark.parametrize("n_cut", [4, 7, 10])
+    def test_grid_square_is_energy_neutral(self, n_cut):
+        basis = ModeBasis(n_cut)
+        c = 3.0 * np.random.default_rng(30 + n_cut).standard_normal(basis.dim)
+        norm = np.linalg.norm(c)
+        assert abs(transform_square(basis, c) @ c) <= 1e-12 * max(norm**3, 1.0)
+
+    def test_grid_route_binds_the_grid_square(self):
+        basis = ModeBasis(TRIAD_MAX_N_CUT + 1)
+        c = np.random.default_rng(9).standard_normal((3, basis.dim))
+        assert np.array_equal(galerkin._route(basis)[1](c), transform_square(basis, c))
+        assert np.array_equal(galerkin._route(basis, "transform")[1](c), transform_square(basis, c))
+
     def test_shared_fields_change_no_bit(self):
         # with cv is cu the fields of V are not built again
         basis = ModeBasis(9)
@@ -174,14 +228,19 @@ class TestBilinear:
             batch = bilinear_transform(basis, a, b)
             for row in range(5):
                 assert np.array_equal(batch[row], bilinear_transform(basis, a[row], b[row]))
+        batch = transform_square(basis, cu)
+        for row in range(5):
+            assert np.array_equal(batch[row], transform_square(basis, cu[row]))
 
     @pytest.mark.parametrize("n_cut", range(1, 7))
     def test_square_matches_triads(self, n_cut):
         # the time loop's B(U, U) from the output-sorted pair list, against the
-        # unmerged triads; batched rows equal lone calls bit for bit
+        # unmerged triads; batched rows, 37 of them so that the blocks of 16 end
+        # in a partial one, equal lone calls bit for bit
         table = triad_table(n_cut)
+        assert galerkin.SQUARE_BLOCK < 37 and 37 % galerkin.SQUARE_BLOCK
         rng = np.random.default_rng(40 + n_cut)
-        lone, *batch = rng.standard_normal((6, ModeBasis(n_cut).dim))
+        lone, *batch = rng.standard_normal((38, ModeBasis(n_cut).dim))
         batch = np.array(batch)
         for c in (lone, batch):
             want = table.apply(c, c)
@@ -194,7 +253,8 @@ class TestBilinear:
         basis, table = ModeBasis(4), triad_table(4)
         u, eye = np.random.default_rng(8).standard_normal(basis.dim), np.eye(basis.dim)
         want = (table.apply(u, eye) + table.apply(eye, u)).T
-        assert np.max(np.abs(table.jacobian(u) - want)) < 1e-14 * np.max(np.abs(want))
+        assert np.max(np.abs(triad_jacobian(table, u) - want)) < \
+            1e-14 * np.max(np.abs(want))
         pairs = table.jac_cell * basis.dim + table.jac_state
         assert len(np.unique(pairs)) == len(pairs) < 8 * len(table.coeff)  # 8 terms per triad
 

@@ -40,6 +40,8 @@ from torusmhd.malliavin import (
 )
 from torusmhd.reachability import ForcedSet, check_hypothesis
 
+from oracles import triad_jacobian
+
 EXAMPLE_Z0 = [(0, 1), (1, 1), (1, 0), (1, 2)]
 
 
@@ -131,7 +133,7 @@ class TestAdjoint:
         path, basis, *_ = nonlinear_path()
         u, eye = path.states[37], np.eye(basis.dim)
         grid = bilinear_transform(basis, u, eye) + bilinear_transform(basis, eye, u)
-        jac = triad_table(basis.n_cut).jacobian(path.states[37])
+        jac = triad_jacobian(triad_table(basis.n_cut), path.states[37])
         assert np.max(np.abs(jac - grid.T)) < 1e-12  # grid rows are L e_i
 
     def test_duality(self):
@@ -287,7 +289,7 @@ class TestStreamedSweep:
     def test_step_matrix_is_decayed_jacobian_step(self):
         path, basis, *_ = nonlinear_path()
         for n in (0, 37, path.n_steps - 1):
-            jac = triad_table(basis.n_cut).jacobian(path.states[n])
+            jac = triad_jacobian(triad_table(basis.n_cut), path.states[n])
             want = path.decay[:, None] * (np.eye(basis.dim) - path.dt * jac)
             assert np.max(np.abs(path.step_matrix(n) - want)) < 1e-14
 
