@@ -22,10 +22,19 @@ closed forms above serve only as cross-checks.  ``verify_bracket_identity``
 re-derives each direction by an independent numerical route (pointwise field
 evaluation, FFT differentiation, grid quadrature) and reports the ratio of
 the two computations, which must be one global constant across every
-admissible (k, l, combo, slot).  ``_pair_quadrature`` runs that route once
-per wavevector pair, for all eight (slot, combo) fields and every candidate
-mode at once.  Both routes read the signed sums of advections that define the
-combinations from ``_COMBO_TABLE``, and share no arithmetic.
+admissible (k, l, combo, slot).  Both routes read the signed sums of
+advections that define the combinations from ``_COMBO_TABLE``, and share no
+arithmetic.
+
+``verification_sweep`` does each piece of work once.  On the symbolic route a
+pair (k, l) builds its eight advections ``_ADVECTIONS`` once
+(``_pair_advections``), and all eight (slot, combo) fields of the pair are
+signed sums of them.  On the quadrature route ``_pair_quadrature`` projects
+all eight fields of a pair onto every candidate mode at once, and each basis
+field is sampled and differentiated once per quadrature grid for the whole
+sweep (``_SampledFields``), not once per pair.  ``verify_bracket_identity``
+runs the same helpers for its one pair, with sampled fields of its own.
+Nothing is kept between calls.
 """
 
 from __future__ import annotations
@@ -221,14 +230,19 @@ _COMBO_TABLE = np.array([
 ], dtype=float)
 
 
-def _combo_field(k: Vec, l: Vec, combo: str, slot: int) -> TrigVectorField:
-    """Pre-projection field of one direction combination, reduced exactly."""
+def _pair_advections(k: Vec, l: Vec) -> list[TrigVectorField]:
+    """The eight advections :data:`_ADVECTIONS` between the basis fields of (k, l)."""
     fields = [(q, p) for q in (k, l) for p in (COS, SIN)]
+    return [advect(*fields[a], *fields[b]) for a, b in _ADVECTIONS]
+
+
+def _combo_field(advections: list[TrigVectorField], combo: str, slot: int) -> TrigVectorField:
+    """Pre-projection field of one direction combination, reduced exactly."""
     weights = _COMBO_TABLE[slot, COMBOS.index(combo)]
     return field_from_terms(
         TrigTerm((w * amp[0], w * amp[1]), parity, q)
-        for w, (a, b) in zip(weights, _ADVECTIONS) if w
-        for amp, parity, q in advect(*fields[a], *fields[b]).terms)
+        for w, advection in zip(weights, advections) if w
+        for amp, parity, q in advection.terms)
 
 
 def combo_target(k: Vec, l: Vec, combo: str, slot: int) -> tuple[Vec, int]:
@@ -260,7 +274,11 @@ def closed_form_weight(k: Vec, l: Vec, combo: str, slot: int) -> float:
     return a * tnorm
 
 
-def _direction_expansion(k: Vec, l: Vec, combo: str, slot: int) -> DirectionExpansion:
+def _direction_expansion(k: Vec, l: Vec, combo: str, slot: int,
+                         advections: Optional[list[TrigVectorField]] = None
+                         ) -> DirectionExpansion:
+    """Leray projection of one combo field; ``advections`` are the pair's
+    :func:`_pair_advections`, built here when not given."""
     if combo not in COMBOS:
         raise ValueError(f"unknown combo {combo!r}")
     if k == (0, 0) or l == (0, 0):
@@ -272,7 +290,9 @@ def _direction_expansion(k: Vec, l: Vec, combo: str, slot: int) -> DirectionExpa
         return DirectionExpansion(degenerate="degenerate: parallel")
     if slot == VELOCITY and norm_sq(k) == norm_sq(l):
         return DirectionExpansion(degenerate="degenerate: equal moduli")
-    return leray_project(_combo_field(k, l, combo, slot), slot)
+    if advections is None:
+        advections = _pair_advections(k, l)
+    return leray_project(_combo_field(advections, combo, slot), slot)
 
 
 def velocity_direction(k: Vec, l: Vec, combo: str) -> DirectionExpansion:
@@ -292,23 +312,49 @@ def magnetic_direction(k: Vec, l: Vec, combo: str) -> DirectionExpansion:
 # Independent numerical verification.
 # ---------------------------------------------------------------------------
 
-def _pair_quadrature(k: Vec, l: Vec) -> tuple[list[Vec], np.ndarray]:
+def _quadrature_grid(k: Vec, l: Vec) -> int:
+    """Points per axis of the pair's quadrature grid, 4 (|k|_inf + |l|_inf) + 4."""
+    return 4 * (max(abs(k[0]), abs(k[1])) + max(abs(l[0]), abs(l[1]))) + 4
+
+
+class _SampledFields(dict):
+    """Basis fields and their FFT gradients on one quadrature grid, on first use.
+
+    ``self[q]`` is (fields, grads) for the cos and sin fields at the wavevector
+    q sampled on the m x m :func:`grid_mesh`: fields has shape (2, 2, m, m),
+    indexed [parity, component], and grads (2, 2, 2, m, m), indexed
+    [derivative axis, parity, component].  An instance lives for one grid of
+    one sweep, or for one lone report.
+    """
+
+    def __init__(self, grid: int):
+        super().__init__()
+        self.mesh = grid_mesh(grid)
+        self.freq = np.fft.fftfreq(grid, d=1.0 / grid)
+
+    def __missing__(self, q: Vec) -> tuple[np.ndarray, np.ndarray]:
+        fields = np.stack([field_values(q, p, *self.mesh) for p in (COS, SIN)])
+        spectrum = np.fft.fft2(fields)
+        grads = np.real(np.fft.ifft2(1j * np.stack([self.freq[:, None] * spectrum,
+                                                    self.freq[None, :] * spectrum])))
+        self[q] = fields, grads
+        return fields, grads
+
+
+def _pair_quadrature(k: Vec, l: Vec, sampled: _SampledFields
+                     ) -> tuple[list[Vec], np.ndarray]:
     """Grid projections of all eight (slot, combo) fields of the pair (k, l).
 
-    Samples the four basis fields on a grid of 4 (|k|_inf + |l|_inf) + 4
-    points per axis, differentiates them by one batched FFT, forms the eight
+    Reads the four basis fields and their FFT gradients from ``sampled``, whose
+    grid must be the pair's :func:`_quadrature_grid`, forms the eight
     advections pointwise and combines them by :data:`_COMBO_TABLE`; every
     combo field is then projected onto every candidate mode by
     :func:`project_onto_modes`.  Returns the candidate wavevectors and the
     projections indexed [slot, combo, candidate, parity].
     """
-    grid = 4 * (max(abs(k[0]), abs(k[1])) + max(abs(l[0]), abs(l[1]))) + 4
-    x1, x2 = grid_mesh(grid)
-    fields = np.stack([field_values(q, p, x1, x2) for q in (k, l) for p in (COS, SIN)])
-    freq = np.fft.fftfreq(grid, d=1.0 / grid)
-    spectrum = np.fft.fft2(fields)
-    grads = np.real(np.fft.ifft2(1j * np.stack([freq[:, None] * spectrum,
-                                                freq[None, :] * spectrum])))
+    (k_fields, k_grads), (l_fields, l_grads) = sampled[k], sampled[l]
+    fields = np.concatenate([k_fields, l_fields])
+    grads = np.concatenate([k_grads, l_grads], axis=1)
     a, b = np.array(_ADVECTIONS).T
     advections = fields[a, 0, None] * grads[0, b] + fields[a, 1, None] * grads[1, b]
     combos = np.tensordot(_COMBO_TABLE, advections, axes=1)
@@ -400,7 +446,8 @@ def verify_bracket_identity(k: Vec, l: Vec, combo: str, slot: int) -> Verificati
     (unit-basis convention).
     """
     symbolic = _direction_expansion(k, l, combo, slot)
-    candidates, projections = _pair_quadrature(k, l)
+    candidates, projections = _pair_quadrature(
+        k, l, _SampledFields(_quadrature_grid(k, l)))
     return _report(k, l, combo, slot, symbolic, candidates,
                    projections[slot, COMBOS.index(combo)])
 
@@ -408,7 +455,10 @@ def verify_bracket_identity(k: Vec, l: Vec, combo: str, slot: int) -> Verificati
 def verification_sweep(kmax: int) -> list[VerificationReport]:
     """All (k, l, combo, slot) reports with nonzero |k|, |l| <= kmax.
 
-    Each (k, l) pair runs one quadrature for its eight reports.
+    Each (k, l) pair builds its eight advections once and runs one quadrature
+    for its eight reports.  Pairs run grid by grid, and each basis field is
+    sampled and differentiated once per grid; only one grid's fields are held
+    at a time.  The reports come back in (k, l) order.
     """
     points = [
         (a, b)
@@ -416,10 +466,19 @@ def verification_sweep(kmax: int) -> list[VerificationReport]:
         for b in range(-kmax, kmax + 1)
         if (a, b) != (0, 0) and a * a + b * b <= kmax * kmax
     ]
-    reports = []
-    for k, l in itertools.product(points, repeat=2):
-        candidates, projections = _pair_quadrature(k, l)
-        reports += [_report(k, l, combo, slot, _direction_expansion(k, l, combo, slot),
-                            candidates, projections[slot, c])
-                    for slot in (VELOCITY, MAGNETIC) for c, combo in enumerate(COMBOS)]
-    return reports
+    pairs = list(itertools.product(points, repeat=2))
+    by_grid: dict[int, list[int]] = {}
+    for i, (k, l) in enumerate(pairs):
+        by_grid.setdefault(_quadrature_grid(k, l), []).append(i)
+    reports: list[list[VerificationReport]] = [[] for _ in pairs]
+    for grid, indices in by_grid.items():
+        sampled = _SampledFields(grid)
+        for i in indices:
+            k, l = pairs[i]
+            advections = _pair_advections(k, l)
+            candidates, projections = _pair_quadrature(k, l, sampled)
+            reports[i] = [_report(k, l, combo, slot,
+                                  _direction_expansion(k, l, combo, slot, advections),
+                                  candidates, projections[slot, c])
+                          for slot in (VELOCITY, MAGNETIC) for c, combo in enumerate(COMBOS)]
+    return [r for pair_reports in reports for r in pair_reports]

@@ -173,13 +173,3 @@ def project_onto_modes(values: np.ndarray, wavevectors) -> np.ndarray:
     return np.stack([np.einsum("...cn,nc->...n", spectrum.real, cos_dirs),
                      np.einsum("...cn,nc->...n", spectrum.imag, cos_dirs)], axis=-1) * weight
 
-
-def spectral_divergence(values: np.ndarray) -> np.ndarray:
-    """Divergence of a grid-sampled 2-vector field via Fourier differentiation."""
-    values = np.asarray(values)
-    m = values.shape[-1]
-    q = np.fft.fftfreq(m, d=1.0 / m)
-    f1 = np.fft.fft2(values[0])
-    f2 = np.fft.fft2(values[1])
-    div_hat = 1j * (q[:, None] * f1 + q[None, :] * f2)
-    return np.real(np.fft.ifft2(div_hat))

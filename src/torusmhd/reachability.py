@@ -19,7 +19,11 @@ recorded in every report.  All predicates are exact integer arithmetic.
 
 Every generation comes from one vectorized transition, :func:`_admissible_sums`
 over all (previous, forced) pairs at once; the recursion, the coverage check
-and the certificate search all run through it.  The scalar :func:`admissible`
+and the certificate search all run through it.  It broadcasts the previous
+generation's coordinate columns against the forced ones, so each predicate is
+a (previous, forced) table built from the four columns, and it accepts pairs
+in row-major (previous, forced) order, which fixes each row's first
+derivation.  The scalar :func:`admissible`
 serves :func:`verify_chain`, so that certificate replay stays independent.
 """
 
@@ -82,16 +86,22 @@ def _admissible_sums(prev: np.ndarray, forced: ForcedSet,
     """
     if np.abs(prev).max(initial=0) >= COORD_LIMIT:
         raise ValueError(f"wavevector coordinates must be below {COORD_LIMIT}")
-    k = prev[:, None, :]
-    l = forced.rows[None, :, :]
-    v = k + l
-    ok = ((k[..., 1] * l[..., 0] - k[..., 0] * l[..., 1] != 0)
-          & ((k * k).sum(axis=-1) != (l * l).sum(axis=-1))
-          & (v != 0).any(axis=-1))
+    # (P, 1) columns of the previous generation against (F,) forced columns
+    k0, k1 = prev[:, :1], prev[:, 1:]
+    l0, l1 = forced.rows[:, 0], forced.rows[:, 1]
+    v0, v1 = k0 + l0, k1 + l1
+    ok = k1 * l0 != k0 * l1
+    ok &= k0 * k0 + k1 * k1 != l0 * l0 + l1 * l1
+    ok &= (v0 != 0) | (v1 != 0)
     if window_norm_sq is not None:
-        ok &= (v * v).sum(axis=-1) <= window_norm_sq
-    k_idx, l_idx = np.nonzero(ok)
-    return k_idx, l_idx, v[k_idx, l_idx]
+        ok &= v0 * v0 + v1 * v1 <= window_norm_sq
+    flat = np.flatnonzero(ok)
+    v = np.empty((len(flat), 2), dtype=np.int64)
+    v[:, 0] = v0.ravel()[flat]
+    v[:, 1] = v1.ravel()[flat]
+    del v0, v1  # so that the (P, F) sums and the index arrays are never all held
+    k_idx, l_idx = np.divmod(flat, len(l0))
+    return k_idx, l_idx, v
 
 
 def _generations(forced: ForcedSet, max_depth: int, window_norm_sq: Optional[int]
@@ -268,10 +278,13 @@ def generation_certificate(forced: ForcedSet, target: Vec, parity: str = "even",
 
 
 def verify_chain(forced: ForcedSet, cert: Certificate) -> bool:
-    """Replay a certificate through the admissibility predicates."""
-    if cert.chain is None:
+    """Replay a certificate through the admissibility predicates.
+
+    Wavevectors may be tuples or lists, as ``reach_report.json`` holds them.
+    """
+    if not cert.chain:
         return False
-    head, *steps = cert.chain
+    head, *steps = (tuple(v) for v in cert.chain)
     if head not in forced.symmetrized:
         return False
     acc = head
@@ -281,7 +294,7 @@ def verify_chain(forced: ForcedSet, cert: Certificate) -> bool:
         acc = (acc[0] + l[0], acc[1] + l[1])
         if acc == (0, 0):
             return False
-    if acc != cert.target:
+    if acc != tuple(cert.target):
         return False
     want = 0 if cert.parity == "even" else 1
     return len(steps) % 2 == want

@@ -315,6 +315,30 @@ class TestVerification:
                 else:
                     assert value == want, (rep.k, rep.l, rep.combo, key)
 
+    def test_sweep_equals_per_call_reports_on_every_grid(self):
+        # at kmax=3 the quadrature grids 4 (|k|_inf + |l|_inf) + 4 run from 12
+        # to 28; the sweep samples each basis field once per grid for all its
+        # pairs, a lone call samples its own.  repr prints every float exactly
+        # and NaN as nan, so equal reprs are equal bits with NaN equal to NaN.
+        reports = verification_sweep(3)
+        first, last = {}, {}  # (|k|_inf, |l|_inf) -> a pair of that shape
+        for rep in reports:
+            shape = (max(map(abs, rep.k)), max(map(abs, rep.l)))
+            first.setdefault(shape, (rep.k, rep.l))
+            last[shape] = (rep.k, rep.l)
+        assert {4 * (a + b) + 4 for a, b in first} == {12, 16, 20, 24, 28}
+        picked = set(first.values()) | set(last.values())
+        checked = [rep for rep in reports if (rep.k, rep.l) in picked]
+        assert len(checked) == len(picked) * 2 * len(COMBOS)
+        for rep in checked:
+            alone = verify_bracket_identity(rep.k, rep.l, rep.combo, rep.slot)
+            assert repr(rep.to_dict()) == repr(alone.to_dict()), (rep.k, rep.l, rep.combo)
+
+    def test_repeated_sweeps_agree(self):
+        # nothing a sweep samples or builds carries over to the next one
+        first = [repr(r.to_dict()) for r in verification_sweep(2)]
+        assert [repr(r.to_dict()) for r in verification_sweep(2)] == first
+
     def test_under_resolved_candidate_rejected(self):
         # the pair (1,1), (1,-1) has the candidate (2,2), which needs a grid of
         # 8; the quadrature's own grid of 12 resolves it (project_onto_modes

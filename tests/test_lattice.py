@@ -22,8 +22,9 @@ from torusmhd.lattice import (
     pairing_coefficient,
     perp_dot,
     project_onto_modes,
-    spectral_divergence,
 )
+
+from oracles import spectral_divergence
 
 nonzero_vec = st.tuples(st.integers(-6, 6), st.integers(-6, 6)).filter(
     lambda k: k != (0, 0))

@@ -1,13 +1,18 @@
 """Generation recursion, window coverage, and derivation certificates."""
 
+import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from torusmhd.brackets import magnetic_direction, velocity_direction
+from torusmhd.cli import main
 from torusmhd.reachability import (
+    Certificate,
     ForcedSet,
+    _admissible_sums,
     _generations,
     admissible,
     check_hypothesis,
@@ -134,6 +139,23 @@ class TestCertificates:
         cert.chain[-1] = (5, 5)
         assert not verify_chain(forced, cert)
 
+    def test_empty_chain_is_rejected(self):
+        forced = ForcedSet.from_wavevectors(EXAMPLE_Z0)
+        assert not verify_chain(forced, Certificate((1, 2), "even", [], 0, 3))
+
+    def test_replays_cli_certificates_as_written(self, tmp_path):
+        # reach_report.json holds wavevectors as lists; replay them unconverted
+        out = tmp_path / "reach"
+        assert main(["reach", "--z0", "0,1;1,1;1,0;1,2", "--radius", "6",
+                     "--certify", "1,2;3,5;-7,2", "--out", str(out)]) == 0
+        doc = json.loads((out / "reach_report.json").read_text())
+        forced = ForcedSet.from_wavevectors(doc["z0"])
+        assert sum(c["found"] for c in doc["certificates"]) == 6
+        for c in doc["certificates"]:
+            cert = Certificate(c["target"], c["parity"], c["chain"], c["depth_searched"],
+                               c["window_bound"])
+            assert verify_chain(forced, cert), c
+
     def test_certificate_steps_feed_bracket_engine(self):
         # every admissible derivation step generates nonempty directions
         forced = ForcedSet.from_wavevectors(EXAMPLE_Z0)
@@ -248,6 +270,23 @@ class TestTransitionAgainstReference:
 
         assert check_hypothesis(forced, radius, max_depth).to_dict() == \
             _ref_hypothesis(forced, radius, max_depth)
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_forced, st.lists(small_target, max_size=12),
+           st.one_of(st.none(), st.integers(1, 6)))
+    def test_transition_keeps_row_major_order(self, forced, prev, window):
+        # first derivations, and so certificates, depend on this order
+        wsq = None if window is None else window * window
+        want = []
+        for i, k in enumerate(prev):
+            for j, l in enumerate(forced.rows.tolist()):
+                v = (k[0] + l[0], k[1] + l[1])
+                if (admissible(k, l) and v != (0, 0)
+                        and (wsq is None or v[0] ** 2 + v[1] ** 2 <= wsq)):
+                    want.append((i, j, v))
+        k_idx, l_idx, v = _admissible_sums(np.array(prev, dtype=np.int64).reshape(-1, 2),
+                                           forced, wsq)
+        assert list(zip(k_idx.tolist(), l_idx.tolist(), map(tuple, v.tolist()))) == want
 
     @settings(max_examples=40, deadline=None)
     @given(small_forced, small_target, st.sampled_from(["even", "odd"]),
