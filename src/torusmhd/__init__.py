@@ -46,7 +46,6 @@ from .galerkin import (  # noqa: F401
     SpectralState,
     TrajectoryRecord,
     bilinear_B,
-    dissipation_multiplier,
     energy_balance_residual,
     ensemble,
     simulate,
@@ -61,7 +60,6 @@ from .malliavin import (  # noqa: F401
     assemble_malliavin,
     cone_infimum,
     jacobian_apply,
-    malliavin_quadratic_form,
     second_variation_apply,
     unstable_quadratic_form,
 )
@@ -69,8 +67,6 @@ from .diagnostics import (  # noqa: F401
     Observable,
     clt_sample,
     exp_moment_ensemble,
-    exp_moment_probe,
     mixing_decay_estimate,
-    rho_upper_bound,
     time_average,
 )

@@ -1,6 +1,5 @@
-"""Empirical ergodicity probes: time averages, CLT histograms, mixing decay,
-exponential-moment statistics, and a computable upper bound for the weighted
-path metric.
+"""Empirical ergodicity probes: time averages, CLT histograms, mixing decay
+and exponential-moment statistics.
 
 Mixing is probed through differences of ensemble expectations of fixed
 observables rather than through a Wasserstein distance: estimating the latter
@@ -29,7 +28,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate, stats
+from scipy import stats
 
 from .galerkin import (
     EquationParams,
@@ -38,7 +37,6 @@ from .galerkin import (
     SpectralState,
     TrajectoryRecord,
     ensemble,
-    simulate,  # unused here, but benchmarks/tracing.py wraps diagnostics.simulate
     sobolev_energy,
     trajectory_seed,
 )
@@ -370,25 +368,15 @@ def _moment_series(times: np.ndarray, nsq: np.ndarray, diss: np.ndarray,
     return MomentProbe(times=times, log_statistic=log_stat)
 
 
-def exp_moment_probe(rec: TrajectoryRecord, params: EquationParams,
-                     eta: float) -> MomentProbe:
-    """Pathwise series eta ||U_t||^2 + (eta/2) e^{-t/2} * cumulative dissipation.
-
-    Values are produced in log space; exponentiate via the probe when the
-    magnitudes allow it.
-    """
-    if eta <= 0:
-        raise ValueError("eta must be positive")
-    nsq, diss = _energy_and_dissipation(rec.basis, rec.states, params).T
-    return _moment_series(rec.times, nsq, diss, eta)
-
-
 def exp_moment_ensemble(u0: SpectralState, params: EquationParams, noise: NoiseSpec,
                         horizon: float, n_replicas: int, seed: int, eta: float,
                         snapshot_stride: int = 1) -> list[MomentProbe]:
-    """``exp_moment_probe`` of the trajectories on streams 0 .. n_replicas - 1.
+    """Pathwise series eta ||U_t||^2 + (eta/2) e^{-t/2} * cumulative dissipation
+    of each trajectory on streams 0 .. n_replicas - 1.
 
-    The ensemble is reduced to ||U||^2 and the dissipation as it steps.
+    The ensemble is reduced to ||U||^2 and the dissipation as it steps.  Values
+    are produced in log space; exponentiate via the probe when the magnitudes
+    allow it.
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
@@ -396,32 +384,3 @@ def exp_moment_ensemble(u0: SpectralState, params: EquationParams, noise: NoiseS
                                     lambda c: _energy_and_dissipation(u0.basis, c, params),
                                     snapshot_stride)
     return [_moment_series(times, *values[:, i].T, eta) for i in range(n_replicas)]
-
-
-# ---------------------------------------------------------------------------
-# Weighted path metric, upper bound along the straight line.
-# ---------------------------------------------------------------------------
-
-def rho_upper_bound(u1: SpectralState, u2: SpectralState, eta: float,
-                    r: float) -> float:
-    """Straight-line value of the weighted path length between two states.
-
-    The weight along gamma(t) = (1-t) U1 + t U2 is exp(eta r ||gamma||^2);
-    the squared norm is quadratic in t, and the 1-D integral is evaluated
-    adaptively.  The infimum over paths is out of scope, so this is an upper
-    bound for the metric.
-    """
-    if not 0.0 < r <= 1.0:
-        raise ValueError("r must lie in (0, 1]")
-    if eta <= 0:
-        raise ValueError("eta must be positive")
-    delta = u2.coeffs - u1.coeffs
-    dist = float(np.linalg.norm(delta))
-    if dist == 0.0:
-        return 0.0
-    a = float(delta @ delta)
-    b = 2.0 * float(u1.coeffs @ delta)
-    c = float(u1.coeffs @ u1.coeffs)
-    w = eta * r
-    value, _ = integrate.quad(lambda t: math.exp(w * (a * t * t + b * t + c)), 0.0, 1.0)
-    return dist * value

@@ -259,9 +259,6 @@ class SpectralState:
     def copy(self) -> "SpectralState":
         return SpectralState(self.basis, self.coeffs.copy(), self.time)
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
-
     def coefficient(self, mode: Mode) -> float:
         return float(self.coeffs[self.basis.mode_index(mode)])
 
@@ -274,13 +271,6 @@ def unit_mode_state(basis: ModeBasis, mode: Mode, amplitude: float = 1.0) -> Spe
     s = zero_state(basis)
     s.coeffs[basis.mode_index(mode)] = amplitude
     return s
-
-
-def dissipation_multiplier(mode: Mode, params: EquationParams) -> float:
-    """Fractional Laplacian symbol: |k|^(2*alpha) or |k|^(2*beta) by slot."""
-    n2 = norm_sq(mode.k)
-    exponent = params.alpha if mode.slot == VELOCITY else params.beta
-    return float(n2**exponent)
 
 
 # ---------------------------------------------------------------------------
@@ -562,24 +552,6 @@ def bilinear_B(basis: ModeBasis, cu: np.ndarray, cv: np.ndarray,
     return _route(basis, path)[0](cu, cv)
 
 
-def commutator_with_drift(state: SpectralState, mode: Mode,
-                          params: EquationParams) -> np.ndarray:
-    """Bracket of the drift with a constant basis direction, as coefficients.
-
-    For a constant field the bracket reduces to the dissipation multiplier
-    acting on the direction plus the symmetrized advection against the
-    current state; at the zero state only the Fourier multiplier survives.
-    """
-    basis = state.basis
-    sigma = np.zeros(basis.dim)
-    sigma[basis.mode_index(mode)] = 1.0
-    out = dissipation_multiplier(mode, params) * sigma
-    if params.nonlinearity_enabled:
-        out = out + bilinear_transform(basis, sigma, state.coeffs)
-        out = out + bilinear_transform(basis, state.coeffs, sigma)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Time stepping.
 # ---------------------------------------------------------------------------
@@ -787,12 +759,3 @@ def energy_balance_residual(rec: TrajectoryRecord, params: EquationParams,
         pair = (rec.states[:-1, idx] * rec.noise_increments) @ amps
         res = res - 2.0 * pair
     return res
-
-
-def embed_coeffs(src: ModeBasis, coeffs: np.ndarray, dst: ModeBasis) -> np.ndarray:
-    """Re-express coefficients on another truncation (zero-padding or cutting)."""
-    out = np.zeros(dst.dim)
-    for mode in src.modes():
-        if norm_sq(mode.k) <= dst.n_cut**2:
-            out[dst.mode_index(mode)] = coeffs[src.mode_index(mode)]
-    return out

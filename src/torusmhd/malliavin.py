@@ -157,21 +157,6 @@ def second_variation_apply(path: FrozenPath, xi: SpectralState, xi2: SpectralSta
     return SpectralState(basis, rho, t)
 
 
-def adjoint_profile(path: FrozenPath, phi: np.ndarray, r: float, t: float) -> np.ndarray:
-    """All backward levels K_{s,t} phi for s on the grid between r and t.
-
-    ``phi`` may be a single vector (dim,) or a batch (ncols, dim); the result
-    gains a leading time axis of length j - i + 1 with index 0 at time r.
-    """
-    i, j = path.index_of(r), path.index_of(t)
-    if i > j:
-        raise ValueError("need r <= t")
-    levels = np.empty((j - i + 1,) + phi.shape)
-    for n, v in _backward_sweep(path, phi, i, j):
-        levels[n - i] = v
-    return levels
-
-
 # ---------------------------------------------------------------------------
 # Malliavin matrix assembly and spectral probes.
 # ---------------------------------------------------------------------------
@@ -203,22 +188,6 @@ def _trapezoid_weights(n: int, dt: float) -> np.ndarray:
     w = np.full(n + 1, dt)
     w[0] = w[-1] = 0.5 * dt
     return w
-
-
-def malliavin_quadratic_form(path: FrozenPath, noise: NoiseSpec,
-                             phi: SpectralState) -> float:
-    """<M_{0,T} phi, phi>: forced-mode response energy of the backward flow.
-
-    Sums w_n amp^2 (K_{n,T} phi)_e^2 level by level as one backward sweep
-    runs, so no level is stored.
-    """
-    idx = noise.mode_indices(path.basis)
-    w = _trapezoid_weights(path.n_steps, path.dt)
-    amp_sq = noise.amplitudes() ** 2
-    total = 0.0
-    for n, rho in _backward_sweep(path, phi.coeffs, 0, path.n_steps):
-        total += w[n] * float(rho[idx] ** 2 @ amp_sq)
-    return total
 
 
 def assemble_malliavin(path: FrozenPath, noise: NoiseSpec,

@@ -1,4 +1,4 @@
-"""Time averages, CLT machinery, mixing decay, moment probe, path metric bound."""
+"""Time averages, CLT machinery, mixing decay and the moment probe."""
 
 import math
 import os
@@ -17,11 +17,9 @@ from torusmhd.diagnostics import (
     clt_sample,
     cone_seed,
     exp_moment_ensemble,
-    exp_moment_probe,
     ks_against_fitted_normal,
     mixing_decay_estimate,
     normalized_integral,
-    rho_upper_bound,
     time_average,
     trajectory_seed,
 )
@@ -263,7 +261,10 @@ class TestBatchedEnsembles:
         probes = exp_moment_ensemble(u0, params, noise, horizon, n, seed, 0.05,
                                      snapshot_stride=stride)
         for i, probe in enumerate(probes):
-            alone = exp_moment_probe(record(u0, i), params, 0.05)
+            rec = record(u0, i)
+            alone = diagnostics._moment_series(
+                rec.times, *diagnostics._energy_and_dissipation(basis, rec.states, params).T,
+                0.05)
             assert np.array_equal(probe.times, alone.times)
             assert np.array_equal(probe.log_statistic, alone.log_statistic)
 
@@ -332,8 +333,8 @@ class TestStreams:
 class TestMomentProbe:
     def test_zero_state_statistic_is_one(self):
         basis, params, noise, mode = ou_setup()
-        rec = simulate(zero_state(basis), params, EMPTY_NOISE, 1.0, seed=0)
-        probe = exp_moment_probe(rec, params, eta=0.5)
+        probe, = exp_moment_ensemble(zero_state(basis), params, EMPTY_NOISE, 1.0, 1,
+                                     seed=0, eta=0.5)
         assert np.max(np.abs(probe.log_statistic)) == 0.0
         assert np.all(probe.statistic() == 1.0)
 
@@ -342,61 +343,19 @@ class TestMomentProbe:
         rng = np.random.default_rng(6)
         u0 = SpectralState(basis, 0.8 * rng.standard_normal(basis.dim))
         params_nl = EquationParams(alpha=1.5, beta=1.2, n_cut=2, dt=1e-3)
-        rec = simulate(u0, params_nl, EMPTY_NOISE, 2.0, seed=0)
-        probe = exp_moment_probe(rec, params_nl, eta=0.3)
+        probe, = exp_moment_ensemble(u0, params_nl, EMPTY_NOISE, 2.0, 1, seed=0, eta=0.3)
         assert np.all(np.diff(probe.log_statistic) <= 1e-12)
 
     def test_forced_run_stays_bounded(self):
         basis, params, noise, mode = ou_setup(dt=1e-2)
         params_nl = EquationParams(alpha=1.5, beta=1.5, n_cut=2, dt=1e-2)
-        rec = simulate(zero_state(basis), params_nl, noise, 50.0, seed=17)
-        probe = exp_moment_probe(rec, params_nl, eta=0.05)
+        probe, = exp_moment_ensemble(zero_state(basis), params_nl, noise, 50.0, 1,
+                                     seed=17, eta=0.05)
         assert np.all(np.isfinite(probe.log_statistic))
         assert np.max(probe.log_statistic) < 5.0
 
     def test_eta_must_be_positive(self):
         basis, params, noise, mode = ou_setup()
-        rec = simulate(zero_state(basis), params, EMPTY_NOISE, 0.1, seed=0)
         with pytest.raises(ValueError):
-            exp_moment_probe(rec, params, eta=0.0)
-
-
-class TestRhoUpperBound:
-    def test_zero_for_equal_states(self):
-        basis, params, noise, mode = ou_setup()
-        u = unit_mode_state(basis, mode, 0.7)
-        assert rho_upper_bound(u, u, eta=1.0, r=0.5) == 0.0
-
-    def test_unit_weight_limit(self):
-        basis, params, noise, mode = ou_setup()
-        u1 = zero_state(basis)
-        u2 = unit_mode_state(basis, mode, 1.0)
-        assert rho_upper_bound(u1, u2, eta=1e-10, r=1.0) == pytest.approx(1.0, rel=1e-8)
-
-    def test_known_gaussian_integral(self):
-        # along the straight line from 0 to a unit mode with eta r = 1 the
-        # value is the classic integral of exp(t^2) over [0, 1]
-        basis, params, noise, mode = ou_setup()
-        u1 = zero_state(basis)
-        u2 = unit_mode_state(basis, mode, 1.0)
-        got = rho_upper_bound(u1, u2, eta=1.0, r=1.0)
-        assert got == pytest.approx(1.4626517459071816, rel=1e-10)
-
-    def test_dominates_plain_distance_and_symmetric(self):
-        basis, params, noise, mode = ou_setup()
-        rng = np.random.default_rng(10)
-        for _ in range(5):
-            u1 = SpectralState(basis, rng.standard_normal(basis.dim))
-            u2 = SpectralState(basis, rng.standard_normal(basis.dim))
-            v = rho_upper_bound(u1, u2, eta=0.2, r=0.7)
-            assert v >= float(np.linalg.norm(u1.coeffs - u2.coeffs)) - 1e-12
-            assert v == pytest.approx(rho_upper_bound(u2, u1, eta=0.2, r=0.7),
-                                      rel=1e-10)
-
-    def test_parameter_domains(self):
-        basis, params, noise, mode = ou_setup()
-        u = zero_state(basis)
-        with pytest.raises(ValueError):
-            rho_upper_bound(u, u, eta=1.0, r=0.0)
-        with pytest.raises(ValueError):
-            rho_upper_bound(u, u, eta=-1.0, r=0.5)
+            exp_moment_ensemble(zero_state(basis), params, EMPTY_NOISE, 0.1, 1, seed=0,
+                                eta=0.0)

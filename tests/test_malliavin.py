@@ -29,18 +29,16 @@ from torusmhd.malliavin import (
     FrozenPath,
     MalliavinMatrix,
     adjoint_apply,
-    adjoint_profile,
     assemble_malliavin,
     cone_infimum,
     jacobian_apply,
-    malliavin_quadratic_form,
     sample_cone_state,
     second_variation_apply,
     unstable_quadratic_form,
 )
 from torusmhd.reachability import ForcedSet, check_hypothesis
 
-from oracles import triad_jacobian
+from oracles import adjoint_profile, triad_jacobian
 
 EXAMPLE_Z0 = [(0, 1), (1, 1), (1, 0), (1, 2)]
 
@@ -184,25 +182,31 @@ class TestSecondVariation:
         assert errs[0] / errs[1] == pytest.approx(10.0, rel=0.25)
 
 
+def quadratic_form(path, noise, phi):
+    """<M_{0,T} phi, phi> from the Gram matrix over the whole truncation."""
+    return float(phi.coeffs @ assemble_malliavin(path, noise).gram @ phi.coeffs)
+
+
 class TestQuadraticForm:
     def test_velocity_mode_on_linear_path_gives_zero(self):
         path, basis, params, noise = linear_path(horizon=0.05, dt=1e-3)
         phi = unit_mode_state(basis, make_mode(VELOCITY, (1, 1), COS))
-        assert malliavin_quadratic_form(path, noise, phi) == 0.0
+        assert quadratic_form(path, noise, phi) == 0.0
 
     def test_forced_mode_ou_integral(self):
         path, basis, params, noise = linear_path(
             horizon=1.0, dt=1e-4, amplitudes={(0, 1): (0.7, 1.3)})
         phi = unit_mode_state(basis, make_mode(MAGNETIC, (0, 1), COS))
-        got = malliavin_quadratic_form(path, noise, phi)
+        got = quadratic_form(path, noise, phi)
         want = 0.7**2 * (1.0 - math.exp(-2.0)) / 2.0
         assert got == pytest.approx(want, rel=1e-6)
 
     def test_nonnegative_on_random_states(self):
         path, basis, params, noise, u0, rng = nonlinear_path()
+        gram = assemble_malliavin(path, noise).gram
         for _ in range(5):
-            phi = SpectralState(basis, rng.standard_normal(basis.dim))
-            assert malliavin_quadratic_form(path, noise, phi) >= -1e-12
+            phi = rng.standard_normal(basis.dim)
+            assert phi @ gram @ phi >= -1e-12
 
 
 class TestAssemble:
@@ -223,12 +227,16 @@ class TestAssemble:
                 assert abs(g[i, i]) < 1e-10
 
     def test_diagonal_consistent_with_quadratic_form(self):
+        # <M phi, phi> summed by the trapezoid rule over the buffered levels of phi
         path, basis, params, noise = linear_path(horizon=0.2, dt=1e-3)
         mat = assemble_malliavin(path, noise)
-        phi = unit_mode_state(basis, make_mode(MAGNETIC, (0, 1), SIN))
-        i = list(mat.mode_indices).index(basis.mode_index(phi.basis.mode_at(
-            basis.mode_index(make_mode(MAGNETIC, (0, 1), SIN)))))
-        qf = malliavin_quadratic_form(path, noise, phi)
+        mode = make_mode(MAGNETIC, (0, 1), SIN)
+        phi = unit_mode_state(basis, mode)
+        forced = adjoint_profile(path, phi.coeffs, 0.0, 0.2)[:, noise.mode_indices(basis)]
+        w = np.full(path.n_steps + 1, path.dt)
+        w[0] = w[-1] = 0.5 * path.dt
+        qf = float(w @ (forced**2 @ noise.amplitudes() ** 2))
+        i = list(mat.mode_indices).index(basis.mode_index(mode))
         assert abs(qf - mat.gram[i, i]) < 1e-12
 
     def test_symmetry_raw(self):
