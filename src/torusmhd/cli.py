@@ -28,6 +28,7 @@ from . import __version__
 from .config import ConfigError, ExperimentConfig, parse_config
 from .brackets import verification_sweep
 from .diagnostics import (
+    PATH_STREAM,
     Observable,
     clt_sample,
     cone_seed,
@@ -242,7 +243,8 @@ def cmd_simulate(cfg: ExperimentConfig, basis: ModeBasis, out: OutputDir) -> Non
         modes = [make_mode(MAGNETIC, e.k, e.parity) for e in cfg.noise.entries]
     tracked = [(m, basis.mode_index(m)) for m in modes]
     rec = simulate(_state(basis, cfg.analysis.initial_state), cfg.equation, cfg.noise,
-                   cfg.run.horizon, cfg.run.seed, snapshot_stride=cfg.run.snapshot_stride)
+                   cfg.run.horizon, trajectory_seed(cfg.run.seed, PATH_STREAM),
+                   snapshot_stride=cfg.run.snapshot_stride)
     header = ["time", "total_energy"] + [m.label() for m, _ in tracked]
     energy = (rec.states**2).sum(axis=1)
     rows = [
@@ -309,7 +311,8 @@ def cmd_malliavin(cfg: ExperimentConfig, basis: ModeBasis, out: OutputDir) -> No
 def cmd_lln(cfg: ExperimentConfig, basis: ModeBasis, out: OutputDir) -> None:
     obs = _observable(cfg)
     rec = simulate(_state(basis, cfg.analysis.initial_state), cfg.equation, cfg.noise,
-                   cfg.run.horizon, cfg.run.seed, snapshot_stride=cfg.run.snapshot_stride)
+                   cfg.run.horizon, trajectory_seed(cfg.run.seed, PATH_STREAM),
+                   snapshot_stride=cfg.run.snapshot_stride)
     report = time_average(rec, obs, burn_in=cfg.analysis.burn_in)
     values = obs.of_states(basis, rec.states)
     out.write_csv("lln_timeseries.csv", ["time", "observable"],

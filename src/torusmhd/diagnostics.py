@@ -108,11 +108,16 @@ class ErgodicReport:
 def _seed_repr(seed):
     if isinstance(seed, np.random.SeedSequence):
         return [seed.entropy, *seed.spawn_key]
+    if isinstance(seed, tuple):  # a ``trajectory_seed`` stream
+        return list(seed)
     return seed if isinstance(seed, (int, type(None))) else str(seed)
 
 
 #: stream index reserved for pilot/centering runs, clear of replica indices
 PILOT_STREAM = 1_000_000_007
+#: stream index reserved for the one path of the ``simulate`` and ``lln``
+#: subcommands, so that it is not replica 0 of an ensemble or Malliavin path 0
+PATH_STREAM = 1_000_000_009
 #: spawn-key family of the cone-sampling streams, one stream per Malliavin path
 CONE_STREAM = 1
 

@@ -17,20 +17,21 @@ The quadratic advection term B(U, V) has two independent realizations:
                       ``np.add.reduceat``;
   * the grid route  - the conservative (divergence) form div(u (x) v) of
                       the advection, which holds because the advecting
-                      fields are divergence-free: one inverse real FFT builds
-                      the fields, their pointwise products take one forward
-                      real FFT, and the derivative and the Leray projection
-                      are weights on the retained modes.  B(U, V) takes eight
-                      products; the time loop's B(U, U) takes three, because
-                      the Leray projection removes the trace part of the
-                      symmetric flux.  Both passes transform along x2 only
-                      the n_cut + 1 columns of the half spectrum that hold
-                      retained modes.  The grid has at least 3*n_cut + 1
+                      fields are divergence-free: one put of the retained
+                      amplitudes and two matrix products with the DFT
+                      matrices restricted to the retained band, a complex
+                      one along x2 and a real one along x1, build the
+                      fields; two more take their pointwise products back to
+                      the retained modes, where the derivative and the Leray
+                      projection are weights.  B(U, V) transforms eight
+                      product fields and the time loop's B(U, U) three,
+                      because the Leray projection removes the trace part of
+                      the symmetric flux.  The grid has at least 3*n_cut + 1
                       points per axis, which keeps the retained band free of
                       aliased images of quadratic products (the 2/3 rule
                       with the boundary case excluded).
 
-The simulator uses the table up to ``TRIAD_MAX_N_CUT`` and the FFT above it.
+The simulator uses the table up to ``TRIAD_MAX_N_CUT`` and the grid above it.
 
 Time stepping is an exponential (integrating-factor) Euler-Maruyama scheme:
 the fractional dissipation factors e^{-|k|^{2a} dt} are applied exactly, the
@@ -130,6 +131,14 @@ class ModeBasis:
     Coefficient layout: the velocity block precedes the magnetic block; inside
     a block the canonical wavevectors are sorted by (|k|^2, k1, k2) and each
     carries its cos coefficient followed by its sin coefficient.
+
+    The grid transforms are products with DFT matrices restricted to the
+    retained band, built here once.  At these sizes a matrix product beats an
+    FFT, whose cost is mostly per-call overhead.  ``transform_square`` on a
+    lone state, per call on a 2-vCPU x86 VM, medians of six fresh-process
+    runs, against the pruned FFT passes it replaced: 69-119 against 113-211 us
+    at n_cut=10, 42-77 against 73-150 us at 5, and 297-458 against 722-1374 us
+    at 24, whose default grid 74 = 2 * 37 is slow for an FFT.
     """
 
     def __init__(self, n_cut: int, grid: Optional[int] = None):
@@ -156,22 +165,30 @@ class ModeBasis:
         self.kvec = np.array(self.canon, dtype=int)
         self.ksq = np.array([norm_sq(k) for k in self.canon], dtype=float)
         self.dir0 = np.array([direction(k, COS) for k in self.canon])
-        # flat index of each canonical k in the (m, n_cut + 1) columns k1 <= n_cut
-        # of the half spectrum, the only ones a retained mode touches, and where
-        # synthesis puts each mode and, for k1 = 0, its conjugate at -k2
-        m, cols = self.grid, n_cut + 1
+        # separable DFT matrices on the retained band, x1 columns k1 in
+        # [0, n_cut] and x2 rows k2 in [-n_cut, n_cut]: each angle is the exact
+        # integer (k j) mod m before the scaling by 2 pi / m
+        m, cols, rows = self.grid, n_cut + 1, 2 * n_cut + 1
+        angle = lambda k: (2.0 * math.pi / m) * (np.outer(k, np.arange(m)) % m)
+        a1, a2 = angle(np.arange(cols)), angle(np.arange(-n_cut, n_cut + 1))
+        # x1 columns as (cos, -sin) pairs, the (Re, Im) interleave of a complex
+        # column; the synthesis doubles them, 2 Re sum over the canonical modes
+        x1 = np.stack([np.cos(a1), -np.sin(a1)], 1).reshape(2 * cols, m)
+        self._x1_syn, self._x1_ana = 2.0 * x1, x1.T.copy()  # (2 cols, m), (m, 2 cols)
+        self._x2_syn = np.exp(1j * a2.T)                      # (m, rows)
+        self._x2_ana = np.exp(-1j * a2)                       # (rows, m)
+        # flat index of each canonical k in the (rows, cols) band, where synthesis
+        # puts its amplitude (c_cos + i c_sin) dir0_c / (2 BASIS_NORM) and
+        # analysis reads its Fourier sum
         k1, k2 = self.kvec[:, 0], self.kvec[:, 1]
-        self._pick = (k2 % m) * cols + k1
-        edge = np.flatnonzero(k1 == 0)
-        self._put = np.concatenate([self._pick, (-k2[edge]) % m * cols])
-        self._put_src = np.concatenate([np.arange(self.n_k), edge])
-        self._put_dir = self.dir0.T[:, self._put_src] / (2.0 * BASIS_NORM)
+        self._pick = (k2 + n_cut) * cols + k1
+        self._put_dir = self.dir0.T / (2.0 * BASIS_NORM)
         # rectangle-rule weights of the projection onto the unit directions,
         # (c, n_k), and of i q_d dir0_c(q) for the divergence form, (2d + c, n_k)
         self._proj = (2.0 * math.pi / m) ** 2 / BASIS_NORM * self.dir0.T
         self._div = 1j * (self.kvec.T[:, None, :] * self._proj).reshape(4, -1)
-        # the same weights on the three products (A, C, w) of ``transform_square``
-        self._div_sq = np.array([self._div[0] - self._div[3], self._div[1] + self._div[2],
+        # the same weights on the three products (2A, C, w) of ``transform_square``
+        self._div_sq = np.array([0.5 * (self._div[0] - self._div[3]), self._div[1] + self._div[2],
                                  self._div[1] - self._div[2]])
         self._kindex = {k: j for j, k in enumerate(self.canon)}
 
@@ -214,28 +231,39 @@ class ModeBasis:
     # -- transforms ---------------------------------------------------------
     #
     # A physical field (..., 2, m, m) holds component c at x = 2 pi (j1, j2) / m
-    # in [..., c, j2, j1]: x1 runs along the last axis, the one that rfft
-    # halves, so the canonical wavevectors (k1 >= 0) need no conjugate fold
-    # except on the k1 = 0 column.  Both passes transform along x2 only the
-    # columns k1 <= n_cut, the only ones a retained mode touches.  irfft2 runs
-    # that transform first and rfft2 last, column by column, so pruning the
-    # other columns changes no bit.
+    # in [..., c, j2, j1].  Both passes are two matrix products with the DFT
+    # matrices of the retained band, one per axis, so no grid mode outside the
+    # band is formed.  Each product is one plane's, one slot's or one state's
+    # own, repeated over the leading axes and never merged across them: a
+    # batched row makes the BLAS calls of a lone state, with the same shapes,
+    # and equals it bit for bit, where one product over all rows would not.
 
     def synthesize(self, c_slot: np.ndarray) -> np.ndarray:
-        """Slot coefficients (..., 2*n_k) -> physical field (..., 2, m, m)."""
-        m, cols = self.grid, self.n_cut + 1
-        # c_cos + i c_sin per canonical mode, then the edge-column conjugates
-        amp = np.ascontiguousarray(c_slot, dtype=float).view(complex)[..., self._put_src]
-        np.conjugate(amp[..., self.n_k:], out=amp[..., self.n_k:])
-        hat = np.zeros(amp.shape[:-1] + (2, m * cols), dtype=complex)
-        hat[..., self._put] = amp[..., None, :] * self._put_dir
-        hat = np.fft.ifft(hat.reshape(hat.shape[:-1] + (m, cols)), axis=-2, norm="forward")
-        return np.fft.irfft(hat, n=m, axis=-1, norm="forward")  # zero-pads k1 > n_cut
+        """Slot coefficients (..., 2*n_k) -> physical field (..., 2, m, m).
 
-    def _retained(self, fields: np.ndarray) -> np.ndarray:
-        """Fourier sums of real fields (..., m, m) at the canonical modes, (..., n_k)."""
-        hat = np.fft.fft(np.fft.rfft(fields)[..., :self.n_cut + 1], axis=-2)
-        return np.take(hat.reshape(hat.shape[:-2] + (-1,)), self._pick, -1)
+        One put of the amplitudes into the (rows, cols) band of each
+        component, a complex product along x2, and a real product along x1
+        that reads the (Re, Im) interleave of its columns.
+        """
+        amp = np.ascontiguousarray(c_slot, dtype=float).view(complex)  # c_cos + i c_sin
+        lead, m, cols = amp.shape[:-1], self.grid, self.n_cut + 1
+        band = np.zeros(lead + (2, (2 * self.n_cut + 1) * cols), dtype=complex)
+        band[..., self._pick] = amp[..., None, :] * self._put_dir
+        g = self._x2_syn @ band.reshape(lead + (2, -1, cols))               # (..., 2, m, cols)
+        f = g.view(float).reshape(lead + (2 * m, 2 * cols)) @ self._x1_syn  # one slot's product
+        return f.reshape(lead + (2, m, m))
+
+    def _retained(self, planes: np.ndarray) -> np.ndarray:
+        """Fourier sums of real planes (..., P, m, m) at the canonical modes, (..., P, n_k).
+
+        A real product along x1 onto the columns k1 <= n_cut, a complex one
+        along x2 onto the rows |k2| <= n_cut, and one take of the modes.
+        """
+        m = self.grid
+        lead = planes.shape[:-2]
+        r = planes.reshape(lead[:-1] + (-1, m)) @ self._x1_ana   # one state's product
+        hat = self._x2_ana @ r.view(complex).reshape(lead + (m, -1))
+        return np.take(hat.reshape(lead + (-1,)), self._pick, -1)
 
     def gather(self, fields: np.ndarray) -> np.ndarray:
         """Physical field (..., 2, m, m) -> slot coefficients (..., 2*n_k).
@@ -346,12 +374,12 @@ def bilinear_transform(basis: ModeBasis, cu: np.ndarray, cv: np.ndarray) -> np.n
 
         T_dc = u_d u'_c - b_d b'_c,    S_dc = u_d b'_c - b_d u'_c.
 
-    One inverse real transform builds the fields of U and V (only U's when
-    ``cv is cu``), one forward real transform takes the eight products, and
-    on the retained modes the derivative and the projection are the weights
-    i q_d dir0_c(q).  Broadcasts over the leading axes of both arguments.
-    This is the general form, and the oracle of ``transform_square``, which
-    the time loop calls for B(U, U).
+    ``synthesize`` builds the fields of U and V (only U's when ``cv is cu``),
+    and ``_retained`` takes the eight products to the retained modes, where
+    the derivative and the projection are the weights i q_d dir0_c(q).
+    Broadcasts over the leading axes of both arguments.  This is the general
+    form, and the oracle of ``transform_square``, which the time loop calls
+    for B(U, U).
     """
     n = 2 * basis.n_k
     slots = lambda c: c.reshape(c.shape[:-1] + (2, n))  # (velocity, magnetic)
@@ -362,9 +390,9 @@ def bilinear_transform(basis: ModeBasis, cu: np.ndarray, cv: np.ndarray) -> np.n
     # (..., s', d, c, m, m): u_d against (u', b')_c minus b_d against (b', u')_c
     flux = f[..., 0, None, :, None, :, :] * g[..., :, None, :, :, :]
     flux -= f[..., 1, None, :, None, :, :] * g[..., ::-1, None, :, :, :]
-    hat = basis._retained(flux.reshape(flux.shape[:-5] + (2, 4) + flux.shape[-2:]))
+    hat = basis._retained(flux.reshape(flux.shape[:-5] + (8,) + flux.shape[-2:]))
     # term by term, so that a batched row adds in the order of a lone state
-    z = sum(basis._div[j] * hat[..., j, :] for j in range(4))  # (..., 2, n_k)
+    z = sum(basis._div[j] * hat[..., j::4, :] for j in range(4))  # (..., 2, n_k)
     return z.view(float).reshape(z.shape[:-2] + (2 * n,))
 
 
@@ -378,17 +406,36 @@ def transform_square(basis: ModeBasis, cu: np.ndarray) -> np.ndarray:
     S_dc = u_d b_c - b_d u_c is antisymmetric, S_12 = -S_21 = w = u1 b2 - u2 b1.
     So the velocity row is (i q_1 dir0_1 - i q_2 dir0_2) A + (i q_1 dir0_2 +
     i q_2 dir0_1) C and the magnetic row (i q_1 dir0_2 - i q_2 dir0_1) w.
-    Broadcasts over leading axes; a batched row equals the lone call bit for bit.
+    A state (dim,) or a batch (..., dim), in blocks of up to ``SQUARE_BLOCK``
+    rows; a batched row equals the lone call bit for bit.
     """
-    cu = np.asarray(cu)
-    f = basis.synthesize(cu.reshape(cu.shape[:-1] + (2, 2 * basis.n_k)))
-    (u1, u2), (b1, b2) = np.moveaxis(f, (-4, -3), (0, 1))
-    products = np.stack([0.5 * ((u1 * u1 - u2 * u2) - (b1 * b1 - b2 * b2)),
-                         u1 * u2 - b1 * b2, u1 * b2 - u2 * b1], -3)
-    hat = basis._retained(products)  # (..., 3, n_k)
-    w = basis._div_sq
-    z = np.stack([w[0] * hat[..., 0, :] + w[1] * hat[..., 1, :], w[2] * hat[..., 2, :]], -2)
-    return z.view(float).reshape(cu.shape)
+    def square(rows: np.ndarray) -> np.ndarray:
+        f = basis.synthesize(rows.reshape(len(rows), 2, -1))  # (rows, s, c, m, m)
+        u1, u2, b1, b2 = f[:, 0, 0], f[:, 0, 1], f[:, 1, 0], f[:, 1, 1]
+        planes = np.empty((len(rows), 3) + f.shape[-2:])
+        a, c, w = planes[:, 0], planes[:, 1], planes[:, 2]  # 2A, C, w
+        t = np.multiply(u2, u2)
+        np.multiply(u1, u1, out=a)
+        a -= t
+        np.multiply(b1, b1, out=t)
+        a -= t
+        np.multiply(b2, b2, out=t)
+        a += t
+        np.multiply(u1, u2, out=c)
+        np.multiply(b1, b2, out=t)
+        c -= t
+        np.multiply(u1, b2, out=w)
+        np.multiply(u2, b1, out=t)
+        w -= t
+        hat = basis._retained(planes)  # (rows, 3, n_k)
+        z = np.empty((len(rows), 2, basis.n_k), dtype=complex)
+        weight = basis._div_sq
+        np.multiply(weight[0], hat[:, 0], out=z[:, 0])
+        z[:, 0] += weight[1] * hat[:, 1]
+        np.multiply(weight[2], hat[:, 2], out=z[:, 1])
+        return z.view(float).reshape(rows.shape)
+
+    return _in_row_blocks(square, cu)
 
 
 @lru_cache(maxsize=200_000)
@@ -399,22 +446,38 @@ def _pair_projection(k: Vec, m: int, l: Vec, m2: int) -> tuple:
 
 
 #: Largest n_cut at which the simulator takes B from the triad table.  Its
-#: work grows like n_cut^4, the FFT's like n_cut^2 log n_cut plus a fixed
-#: per-call overhead.  B(U, U) per state on a 2-vCPU x86 VM, ``TriadTable.square``
-#: in blocks of 16 rows against ``transform_square``, over two runs: a lone
-#: state 19-25 against 89-110 us at n_cut=4, 45-65 against 115-139 us at 5 and
-#: 120-127 against 144-162 us at 6; a row of a 120-row batch 13-14 against
-#: 30-34 us at 4, 59-62 against 40-45 us at 5 and 325-328 against 62-65 us
-#: at 6.  At 5 the two disagree, so the table stops at 4.  The route depends
-#: on n_cut only, so that a batched row equals the lone state bit for bit.
+#: work grows like n_cut^4, the grid route's like n_cut^3 in its matrix
+#: products plus a fixed per-call overhead.  B(U, U) per state on a 2-vCPU x86
+#: VM, ``TriadTable.square`` against ``transform_square``, both in blocks of 16
+#: rows, medians of three fresh processes: a lone state 31-33 against 50-71 us
+#: at n_cut=4, 45-69 against 52-76 us at 5 and 120-139 against 50-88 us at 6;
+#: a row of a 120-row batch 15-24 against 16-23 us at 4, 51-72 against 17-28 us
+#: at 5 and 324-371 against 27-38 us at 6.  At 5 the two disagree, so the table
+#: stops at 4.  The route depends on n_cut only, so that a batched row equals
+#: the lone state bit for bit.
 TRIAD_MAX_N_CUT = 4
 
 
-#: Rows of a batch per pass of ``TriadTable.square``.  A block's gathered terms
-#: stay small; those of a whole 120-row batch (4.5 MB at n_cut = 4) are, in a
-#: fresh process, handed back to the system after each step and faulted in
-#: again.  Rows are independent, so blocking changes no bit.
+#: Rows of a batch per pass of B(U, U), on either route.  A block's
+#: temporaries stay small; those of a whole 120-row batch (4.5 MB of gathered
+#: terms at n_cut = 4, 7 MB of grid planes at n_cut = 10) are, in a fresh
+#: process, handed back to the system after each step and faulted in again.
 SQUARE_BLOCK = 16
+
+
+def _in_row_blocks(square, cu: np.ndarray) -> np.ndarray:
+    """``square`` of a state (dim,) or a batch (..., dim), called on (k, dim) blocks
+    of at most ``SQUARE_BLOCK`` rows.
+
+    A lone state is the one-row block; rows are independent, so blocking
+    changes no bit.
+    """
+    cu = np.asarray(cu)
+    rows = cu.reshape(-1, cu.shape[-1])
+    if len(rows) <= SQUARE_BLOCK:
+        return square(rows).reshape(cu.shape)
+    blocks = range(0, len(rows), SQUARE_BLOCK)
+    return np.concatenate([square(rows[i:i + SQUARE_BLOCK]) for i in blocks]).reshape(cu.shape)
 
 
 def _scatter_add(index: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
@@ -490,24 +553,17 @@ class TriadTable:
         self.sq_starts = np.searchsorted(row, np.arange(dim))
 
     def square(self, cu: np.ndarray) -> np.ndarray:
-        """B(U, U) for a state (dim,) or a batch (R, dim): gathers and one ``reduceat``
-        per block of up to ``SQUARE_BLOCK`` rows.
+        """B(U, U) for a state (dim,) or a batch (..., dim): gathers and one
+        ``reduceat`` per block of rows."""
+        return _in_row_blocks(self._square_rows, cu)
 
-        A lone state takes the (1, dim) view of a batch row, so that each batch
-        row equals the lone call bit for bit.
-        """
-        cu = np.asarray(cu)
+    def _square_rows(self, rows: np.ndarray) -> np.ndarray:
         if not self.sq_coeff.size:
-            return np.zeros(cu.shape)
-        rows = cu.reshape(-1, cu.shape[-1])
-        if len(rows) > SQUARE_BLOCK:
-            blocks = range(0, len(rows), SQUARE_BLOCK)
-            return np.concatenate([self.square(rows[i:i + SQUARE_BLOCK]) for i in blocks]
-                                  ).reshape(cu.shape)
+            return np.zeros(rows.shape)
         terms = np.take(rows, self.sq_first, -1)
         terms *= np.take(rows, self.sq_second, -1)
         terms *= self.sq_coeff  # last: (c U_j) U_k would overflow at another step
-        return np.add.reduceat(terms, self.sq_starts, -1).reshape(cu.shape)
+        return np.add.reduceat(terms, self.sq_starts, -1)
 
     def apply(self, cu: np.ndarray, cv: np.ndarray) -> np.ndarray:
         """B(U, V), broadcast over the leading axes of both arguments."""

@@ -19,8 +19,8 @@ from torusmhd.config import (
     parse_config,
     validate_config,
 )
-from torusmhd.diagnostics import PILOT_STREAM, Observable
-from torusmhd.galerkin import NoiseSpec
+from torusmhd.diagnostics import PATH_STREAM, PILOT_STREAM, Observable
+from torusmhd.galerkin import NoiseSpec, SpectralState, trajectory_seed
 from torusmhd.lattice import COS, MAGNETIC, SIN, make_mode
 
 
@@ -384,6 +384,26 @@ class TestCli:
                      "--out", str(out)]) == 0
         assert seeds == [(5, 0), (5, 1)]
         assert (out / "response_profiles.csv").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "lln"])
+    def test_single_path_is_not_stream_zero(self, tmp_path, monkeypatch, command):
+        # ``simulate(seed=s)`` draws the path of stream (s, 0), which is replica 0
+        # of ``clt`` and ``moment`` and Malliavin path 0; the one path of
+        # ``simulate`` and ``lln`` comes from its own reserved stream
+        real, records = cli.simulate, []
+        monkeypatch.setattr(cli, "simulate",
+                            lambda *a, **kw: records.append(real(*a, **kw)) or records[-1])
+        doc = small_config(horizon=0.02)
+        doc["analysis"] = {"observable": {"kind": "total_energy"}}
+        cfg = write_config(tmp_path, doc)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        (rec,) = records
+        assert rec.seed == trajectory_seed(5, PATH_STREAM)
+        assert PATH_STREAM not in (0, PILOT_STREAM)
+        state0 = SpectralState(rec.basis, rec.states[0])
+        stream0 = real(state0, rec.params, rec.noise, 0.02, trajectory_seed(5, 0),
+                       snapshot_stride=rec.snapshot_stride)
+        assert not np.array_equal(rec.states[-1], stream0.states[-1])
 
     def test_override_into_list_is_a_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, small_config())

@@ -90,11 +90,16 @@ class TestBasis:
         quad = np.sum(w**2, axis=(-3, -2, -1)) * (2 * math.pi / basis.grid) ** 2
         assert quad == pytest.approx((c * c).sum(-1), rel=1e-12)
 
-    @pytest.mark.parametrize("n_cut", [1, 3, 5, 8, 10, 16])
-    def test_pruned_passes_equal_full_half_spectrum(self, n_cut):
-        # both passes transform only the columns k1 <= n_cut; the full-spectrum
-        # irfft2 and rfft2 give the same bits
-        basis = ModeBasis(n_cut)
+    @pytest.mark.parametrize("n_cut, grid", [
+        *(pytest.param(n, None, id=str(n)) for n in (1, 3, 5, 8, 10, 16, 24)),
+        pytest.param(4, 20, id="4-grid20"),
+    ])
+    def test_pruned_passes_equal_full_half_spectrum(self, n_cut, grid):
+        # both passes transform only the retained band; numpy's full-spectrum
+        # irfft2 and rfft2 are their reference, equal up to roundoff (1e-13 of
+        # the largest reference value).  n_cut=24 has the default grid
+        # 74 = 2 * 37, and grid=20 is not a default grid
+        basis = ModeBasis(n_cut, grid)
         m, half = basis.grid, basis.grid // 2 + 1
         rng = np.random.default_rng(60 + n_cut)
         c = rng.standard_normal((3, 2 * basis.n_k))
@@ -107,9 +112,10 @@ class TestBasis:
             hat[:, comp, k2 % m, k1] = amp * d
             hat[:, comp, -k2[edge] % m, 0] = np.conj(amp[:, edge]) * d[edge]
         want = np.fft.irfft2(hat, s=(m, m), norm="forward")
-        assert np.array_equal(basis.synthesize(c), want)
+        assert np.max(np.abs(basis.synthesize(c) - want)) <= 1e-13 * np.max(np.abs(want))
         fields = rng.standard_normal((3, 2, m, m))
-        assert np.array_equal(basis._retained(fields), np.fft.rfft2(fields)[..., k2 % m, k1])
+        want = np.fft.rfft2(fields)[..., k2 % m, k1]
+        assert np.max(np.abs(basis._retained(fields) - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 class TestDissipation:
@@ -220,18 +226,20 @@ class TestBilinear:
         assert np.array_equal(bilinear_transform(basis, c, c),
                               bilinear_transform(basis, c, c.copy()))
 
-    @pytest.mark.parametrize("n_cut", [9, 12])
+    @pytest.mark.parametrize("n_cut", [5, 9, 12, 16])
     def test_grid_route_batched_rows_equal_lone_calls(self, n_cut):
+        # 5 rows, and 120 rows: the ensemble size of ``clt`` and ``mix``
         basis = ModeBasis(n_cut)
         rng = np.random.default_rng(n_cut)
-        cu, cv = rng.standard_normal((2, 5, basis.dim))
-        for a, b in ((cu, cu), (cu, cv)):
-            batch = bilinear_transform(basis, a, b)
-            for row in range(5):
-                assert np.array_equal(batch[row], bilinear_transform(basis, a[row], b[row]))
-        batch = transform_square(basis, cu)
-        for row in range(5):
-            assert np.array_equal(batch[row], transform_square(basis, cu[row]))
+        for rows in (5, 120):
+            cu, cv = rng.standard_normal((2, rows, basis.dim))
+            for a, b in ((cu, cu), (cu, cv)):
+                batch = bilinear_transform(basis, a, b)
+                for row in range(rows):
+                    assert np.array_equal(batch[row], bilinear_transform(basis, a[row], b[row]))
+            batch = transform_square(basis, cu)
+            for row in range(rows):
+                assert np.array_equal(batch[row], transform_square(basis, cu[row]))
 
     @pytest.mark.parametrize("n_cut", range(1, 7))
     def test_square_matches_triads(self, n_cut):
@@ -451,23 +459,25 @@ class TestSimulate:
         assert snapshot_steps(1, 5) == [0, 1]
 
     def test_ensemble_rows_are_the_lone_trajectories(self):
-        basis = ModeBasis(3)
-        params = make_params(n_cut=3)
+        # n_cut=3 steps on the triad table, n_cut=6 on the grid route
         noise = NoiseSpec.uniform([(0, 1), (1, 1)], 1.0)
-        u0 = SpectralState(basis, 0.2 * np.random.default_rng(4).standard_normal(basis.dim))
-        snaps = list(ensemble(u0, params, noise, 0.05, seed=9, streams=[2, 0, 5],
-                              snapshot_stride=2))
-        for row, stream in enumerate([2, 0, 5]):
-            rec = simulate(u0, params, noise, 0.05, trajectory_seed(9, stream),
-                           snapshot_stride=2)
-            assert np.array_equal([t for t, _ in snaps], rec.times)
-            assert np.array_equal([c[row] for _, c in snaps], rec.states)
+        for n_cut in (3, 6):
+            basis = ModeBasis(n_cut)
+            params = make_params(n_cut=n_cut)
+            u0 = SpectralState(basis, 0.2 * np.random.default_rng(4).standard_normal(basis.dim))
+            snaps = list(ensemble(u0, params, noise, 0.05, seed=9, streams=[2, 0, 5],
+                                  snapshot_stride=2))
+            for row, stream in enumerate([2, 0, 5]):
+                rec = simulate(u0, params, noise, 0.05, trajectory_seed(9, stream),
+                               snapshot_stride=2)
+                assert np.array_equal([t for t, _ in snaps], rec.times)
+                assert np.array_equal([c[row] for _, c in snaps], rec.states)
 
 
     @pytest.mark.parametrize("n_cut, nonlinear, given", [
         pytest.param(2, False, False, id="linear"),
         pytest.param(3, True, False, id="triad_route"),
-        pytest.param(5, True, False, id="fft_route"),
+        pytest.param(5, True, False, id="grid_route"),
         pytest.param(3, True, True, id="given_increments"),
     ])
     def test_simulate_equals_chained_steps(self, n_cut, nonlinear, given):
