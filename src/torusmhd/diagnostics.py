@@ -10,8 +10,9 @@ independent stream per trajectory from (seed, index), so estimates are
 reproducible bit-for-bit.
 
 Replica ensembles step all their trajectories in one time loop
-(``galerkin.ensemble``) and reduce each snapshot to the observable values
-they need as the loop steps, so no ensemble holds its trajectories' states.
+(``galerkin.ensemble``) and reduce each chunk of snapshots it hands out to
+the observable values they need, so no ensemble holds its trajectories'
+states.
 Each replica's values equal those of a lone ``simulate`` on its stream, so
 the batching changes no result.
 
@@ -122,10 +123,6 @@ PATH_STREAM = 1_000_000_009
 CONE_STREAM = 1
 
 
-#: Coefficients of the snapshots an ensemble holds before it reduces them.
-HELD_COEFFS = 1 << 15
-
-
 def _replica_series(u0: SpectralState, params: EquationParams, noise: NoiseSpec,
                     horizon: float, seed, streams, reduce: Callable[[np.ndarray], np.ndarray],
                     snapshot_stride: int = 1) -> tuple[np.ndarray, np.ndarray]:
@@ -133,23 +130,14 @@ def _replica_series(u0: SpectralState, params: EquationParams, noise: NoiseSpec,
 
     The ensemble runs one replica of ``u0`` per stream index in ``streams``;
     ``reduce`` maps (..., R, dim) states to (..., R, ...) values, which are
-    stacked as (n_snapshots, R, ...).  Snapshots are reduced in chunks of at
-    most ``HELD_COEFFS`` coefficients, so only reduced values are kept.
+    stacked as (n_snapshots, R, ...).  Each chunk of snapshots that the time
+    loop hands out is reduced as it comes, so only reduced values are kept.
     """
-    times, held, values = [], [], []
-
-    def reduce_held():
-        values.append(np.array(reduce(np.array(held))))  # a copy: no view keeps the chunk alive
-        held.clear()
-
-    for t, coeffs in ensemble(u0, params, noise, horizon, seed, streams, snapshot_stride):
+    times, values = [], []
+    for t, states in ensemble(u0, params, noise, horizon, seed, streams, snapshot_stride):
         times.append(t)
-        held.append(coeffs)  # a fresh array that the time loop never writes again
-        if len(held) * coeffs.size >= HELD_COEFFS:
-            reduce_held()
-    if held:
-        reduce_held()
-    return np.array(times), np.concatenate(values)
+        values.append(np.array(reduce(states)))  # a copy: no view keeps the chunk alive
+    return np.concatenate(times), np.concatenate(values)
 
 
 def cone_seed(master, path: int) -> np.random.SeedSequence:

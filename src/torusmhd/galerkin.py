@@ -47,11 +47,12 @@ own stream.  Both routes of B and the step broadcast over that axis and
 treat the rows independently, so a replica batch steps R trajectories for
 the Python overhead of one, and each row equals the lone trajectory on its
 stream bit for bit.  ``simulate`` is the one-trajectory case that keeps the
-whole record; ``ensemble`` yields the batch at each snapshot, for callers
-that reduce the states as the loop steps.  The loop's contract: the route
-of B is chosen once per run from n_cut, each block of increments is scaled
-to noise kicks in one expression, every snapshot is a fresh array, and every
-step is tested for finiteness.
+whole record; ``ensemble`` yields the batch's snapshots in chunks, for
+callers that reduce the states as the loop steps.  The loop's contract: the
+route of B is chosen once per run from n_cut, each block of increments is
+scaled to noise kicks in one expression, each step writes its state in
+place into a preallocated block of steps, every block is tested for
+finiteness once, and every chunk of snapshots is a fresh copy.
 """
 
 from __future__ import annotations
@@ -377,23 +378,29 @@ def bilinear_transform(basis: ModeBasis, cu: np.ndarray, cv: np.ndarray) -> np.n
     ``synthesize`` builds the fields of U and V (only U's when ``cv is cu``),
     and ``_retained`` takes the eight products to the retained modes, where
     the derivative and the projection are the weights i q_d dir0_c(q).
-    Broadcasts over the leading axes of both arguments.  This is the general
-    form, and the oracle of ``transform_square``, which the time loop calls
-    for B(U, U).
+    Broadcasts over the leading axes of both arguments, and runs a batch in
+    blocks of up to ``SQUARE_BLOCK`` rows, as the squares do.  This is the
+    general form, and the oracle of ``transform_square``, which the time loop
+    calls for B(U, U).
     """
-    n = 2 * basis.n_k
-    slots = lambda c: c.reshape(c.shape[:-1] + (2, n))  # (velocity, magnetic)
+    slots = lambda c: c.reshape(len(c), 2, -1)  # (rows, velocity/magnetic, 2 n_k)
+
+    def pair(u: np.ndarray, v: Optional[np.ndarray] = None) -> np.ndarray:
+        if v is None:
+            f = g = basis.synthesize(slots(u))
+        else:
+            f, g = basis.synthesize(np.stack([slots(u), slots(v)]))
+        # (rows, s', d, c, m, m): u_d against (u', b')_c minus b_d against (b', u')_c
+        flux = f[:, 0, None, :, None, :, :] * g[:, :, None, :, :, :]
+        flux -= f[:, 1, None, :, None, :, :] * g[:, ::-1, None, :, :, :]
+        hat = basis._retained(flux.reshape((len(u), 8) + flux.shape[-2:]))
+        # term by term, so that a batched row adds in the order of a lone state
+        z = sum(basis._div[j] * hat[:, j::4, :] for j in range(4))  # (rows, 2, n_k)
+        return z.view(float).reshape(u.shape)
+
     if cv is cu:
-        f = g = basis.synthesize(slots(np.asarray(cu)))
-    else:
-        f, g = basis.synthesize(slots(np.stack(np.broadcast_arrays(cu, cv))))
-    # (..., s', d, c, m, m): u_d against (u', b')_c minus b_d against (b', u')_c
-    flux = f[..., 0, None, :, None, :, :] * g[..., :, None, :, :, :]
-    flux -= f[..., 1, None, :, None, :, :] * g[..., ::-1, None, :, :, :]
-    hat = basis._retained(flux.reshape(flux.shape[:-5] + (8,) + flux.shape[-2:]))
-    # term by term, so that a batched row adds in the order of a lone state
-    z = sum(basis._div[j] * hat[..., j::4, :] for j in range(4))  # (..., 2, n_k)
-    return z.view(float).reshape(z.shape[:-2] + (2 * n,))
+        return _in_row_blocks(pair, np.asarray(cu))
+    return _in_row_blocks(pair, *np.broadcast_arrays(cu, cv))
 
 
 def transform_square(basis: ModeBasis, cu: np.ndarray) -> np.ndarray:
@@ -458,26 +465,30 @@ def _pair_projection(k: Vec, m: int, l: Vec, m2: int) -> tuple:
 TRIAD_MAX_N_CUT = 4
 
 
-#: Rows of a batch per pass of B(U, U), on either route.  A block's
-#: temporaries stay small; those of a whole 120-row batch (4.5 MB of gathered
-#: terms at n_cut = 4, 7 MB of grid planes at n_cut = 10) are, in a fresh
-#: process, handed back to the system after each step and faulted in again.
+#: Rows of a batch per pass of B, on either route.  A block's temporaries
+#: stay small; those of a whole 120-row batch (4.5 MB of gathered terms at
+#: n_cut = 4, 7 MB of grid planes at n_cut = 10) are, in a fresh process,
+#: handed back to the system after each step and faulted in again.
+#: ``bilinear_transform`` per row of a 120-row batch on a 2-vCPU x86 VM,
+#: medians in three fresh processes: 127-132 us in blocks against 162-229 us
+#: unblocked at n_cut = 10, and 25-26 against 50-71 us at n_cut = 5.
 SQUARE_BLOCK = 16
 
 
-def _in_row_blocks(square, cu: np.ndarray) -> np.ndarray:
-    """``square`` of a state (dim,) or a batch (..., dim), called on (k, dim) blocks
-    of at most ``SQUARE_BLOCK`` rows.
+def _in_row_blocks(fn, *args: np.ndarray) -> np.ndarray:
+    """``fn`` of states (dim,) or batches (..., dim) of one shape, called on
+    (k, dim) blocks of at most ``SQUARE_BLOCK`` rows of each argument.
 
     A lone state is the one-row block; rows are independent, so blocking
     changes no bit.
     """
-    cu = np.asarray(cu)
-    rows = cu.reshape(-1, cu.shape[-1])
-    if len(rows) <= SQUARE_BLOCK:
-        return square(rows).reshape(cu.shape)
-    blocks = range(0, len(rows), SQUARE_BLOCK)
-    return np.concatenate([square(rows[i:i + SQUARE_BLOCK]) for i in blocks]).reshape(cu.shape)
+    shape = np.shape(args[0])
+    rows = [np.reshape(a, (-1, shape[-1])) for a in args]
+    if len(rows[0]) <= SQUARE_BLOCK:
+        return fn(*rows).reshape(shape)
+    blocks = range(0, len(rows[0]), SQUARE_BLOCK)
+    return np.concatenate([fn(*(r[i:i + SQUARE_BLOCK] for r in rows))
+                           for i in blocks]).reshape(shape)
 
 
 def _scatter_add(index: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
@@ -555,15 +566,33 @@ class TriadTable:
     def square(self, cu: np.ndarray) -> np.ndarray:
         """B(U, U) for a state (dim,) or a batch (..., dim): gathers and one
         ``reduceat`` per block of rows."""
-        return _in_row_blocks(self._square_rows, cu)
+        return self.squarer()(cu)
 
-    def _square_rows(self, rows: np.ndarray) -> np.ndarray:
-        if not self.sq_coeff.size:
-            return np.zeros(rows.shape)
-        terms = np.take(rows, self.sq_first, -1)
-        terms *= np.take(rows, self.sq_second, -1)
-        terms *= self.sq_coeff  # last: (c U_j) U_k would overflow at another step
-        return np.add.reduceat(terms, self.sq_starts, -1)
+    def squarer(self):
+        """``square`` as a function that keeps its two gather buffers between calls.
+
+        The buffers hold the largest block of rows seen so far and are filled
+        in place by ``np.take(..., out=..., mode="clip")``, so a time loop that
+        binds one squarer per run allocates them once: allocated per call,
+        the (16, 4704) blocks at n_cut = 4 are, in a fresh process, handed
+        back to the system and faulted in again at every step.
+        """
+        buffers = np.empty((2, 0, self.sq_coeff.size))
+
+        def square_rows(rows: np.ndarray) -> np.ndarray:
+            nonlocal buffers
+            if not self.sq_coeff.size:
+                return np.zeros(rows.shape)
+            if len(rows) > buffers.shape[1]:
+                buffers = np.empty((2, len(rows), self.sq_coeff.size))
+            terms, other = buffers[:, :len(rows)]
+            np.take(rows, self.sq_first, -1, out=terms, mode="clip")
+            np.take(rows, self.sq_second, -1, out=other, mode="clip")
+            terms *= other
+            terms *= self.sq_coeff  # last: (c U_j) U_k would overflow at another step
+            return np.add.reduceat(terms, self.sq_starts, -1)
+
+        return partial(_in_row_blocks, square_rows)
 
     def apply(self, cu: np.ndarray, cv: np.ndarray) -> np.ndarray:
         """B(U, V), broadcast over the leading axes of both arguments."""
@@ -590,15 +619,17 @@ def _route(basis: ModeBasis, path: Optional[str] = None):
     """(B(U, V), B(U, U)) as functions: the named route, or the faster one at this n_cut.
 
     The grid route's B(U, U) is ``transform_square``, not ``bilinear_transform``
-    on (U, U).  Both names are looked up each time this runs, so a run started
-    after a wrapper is installed on either binds the wrapper."""
+    on (U, U); the triad route's is a ``TriadTable.squarer`` of its own, whose
+    gather buffers live as long as the run that bound it.  Both names are
+    looked up each time this runs, so a run started after a wrapper is
+    installed on either binds the wrapper."""
     if path is None:
         path = "convolution" if basis.n_cut <= TRIAD_MAX_N_CUT else "transform"
     if path == "transform":
         return partial(bilinear_transform, basis), partial(transform_square, basis)
     if path == "convolution":
         table = triad_table(basis.n_cut)
-        return table.apply, table.square
+        return table.apply, table.squarer()
     raise ValueError(f"unknown bilinear path {path!r}")
 
 
@@ -638,58 +669,86 @@ def _step_count(horizon: float, dt: float, snapshot_stride: int) -> int:
     return n_steps
 
 
+#: Coefficients in each of the time loop's two blocks, the states of its
+#: steps and their noise kicks: 256 KiB of float64 apiece.  A block costs one
+#: finiteness test and one chunk of snapshots for all its steps.  Per linear
+#: step at n_cut = 2, reduction included, medians in three fresh processes on
+#: a 2-vCPU x86 VM, against a loop that allocates, tests and hands out each
+#: step on its own: a lone state 1.0-1.7 against 3.7-5.8 us, a row-batch of 50
+#: replicas 5.9-6.4 against 8.7-12.6 us.  Blocks of 1 MiB step that batch
+#: about 1.5 times slower, the two blocks no longer sitting in the core's
+#: cache, and hold four times the memory.
+STEP_BLOCK = 1 << 15
+
+
 def _integrate(basis: ModeBasis, coeffs: np.ndarray, t0: float,
                params: EquationParams, noise: NoiseSpec, n_steps: int,
                snapshot_stride: int, dw_blocks, streams=None):
-    """The time loop: yield (t, coeffs) at every snapshot step.
+    """The time loop: yield (times, states) chunks of the snapshots, in order.
 
     ``coeffs`` is (dim,) or (R, dim), and ``dw_blocks`` yields the Brownian
     increments as (steps, d) or (steps, R, d) blocks that together cover
-    ``n_steps`` steps.  Every replica row evolves on its own, so a row's
-    values do not depend on the rows batched with it.  ``streams`` names the
-    rows in a blow-up report.  Each step makes one fresh array and updates it
-    in place, so a yielded snapshot is never written again.
+    ``n_steps`` steps.  A chunk's states are (k,) + ``coeffs.shape``, a fresh
+    copy.  Every replica row evolves on its own, so a row's values do not
+    depend on the rows batched with it.  ``streams`` names the rows in a
+    blow-up report.
+
+    Each step writes its state in place into the next row of a block of at
+    most ``STEP_BLOCK`` coefficients, and adds its kicks as the matching row
+    of a kick block whose unforced entries are -0.0 (x + (-0.0) == x for
+    every x).  A finished block is tested for finiteness once.  No operation
+    of a step (x d, x - dt B, x + k) makes a non-finite entry finite, so the
+    block's first non-finite row is the step that a test after every step
+    would have stopped at.  Then its snapshots are copied out as one chunk,
+    and its last row starts the next block.
     """
     dt = params.dt
     lam = basis.dissipation_array(params)
-    decay = np.exp(-lam * dt)
     idx = noise.mode_indices(basis)
     lam_f = lam[idx]
     # the exact one-step stddev of each forced entry, for increments of variance dt
     scale = noise.amplitudes() * np.sqrt(-np.expm1(-2.0 * lam_f * dt) / (2.0 * lam_f))
     sqrt_dt = math.sqrt(dt)
+    shape, n_rows = coeffs.shape, coeffs.size // basis.dim
+    # tiled over the rows once: a multiply of equal shapes is cheaper than a broadcast
+    decay = np.tile(np.exp(-lam * dt), (n_rows, 1)).reshape(shape)
     # flat indices of every row's forced entries, in the row-major order of a kick
-    forced = (np.arange(coeffs.size // basis.dim)[:, None] * basis.dim + idx).ravel()
+    forced = (np.arange(n_rows)[:, None] * basis.dim + idx).ravel()
     square = _route(basis)[1] if params.nonlinearity_enabled else None
-    snaps = snapshot_steps(n_steps, snapshot_stride)
-    times = t0 + dt * np.array(snaps)
-    yield times[0], coeffs
-    snaps.append(-1)  # no step is due after the last snapshot
-    row, n, due = 1, 0, snaps[1]
-    for block in dw_blocks:
-        for kick in (scale * (block / sqrt_dt)).reshape(len(block), -1):
-            if square is None:
-                advanced = coeffs * decay
-            else:
-                advanced = coeffs - dt * square(coeffs)
-                advanced *= decay
-            if forced.size:
-                # one flat fancy add, the cheapest for one row and for many
-                advanced.reshape(-1)[forced] += kick
-            n += 1
-            # a non-finite entry makes the squared norm non-finite; the entrywise
-            # test runs only then, or when the norm overflows past 1e154
-            if not math.isfinite(np.vdot(advanced, advanced)) and not np.isfinite(advanced).all():
-                finite = np.isfinite(advanced.reshape(-1, basis.dim)).all(-1)
-                bad = int(np.flatnonzero(~finite)[0])
-                raise SimulationError(t0 + n * dt, n,
+    steps = max(1, min(n_steps, STEP_BLOCK // max(1, coeffs.size) - 1))
+    block = np.empty((steps + 1,) + shape)
+    kicks = np.full((steps,) + shape, -0.0)
+    states, kick_rows = list(block), list(kicks)  # the row views, made once
+    block[0] = coeffs
+    snaps = np.array(snapshot_steps(n_steps, snapshot_stride))
+    times = t0 + dt * snaps
+    n, row = 0, 0  # steps taken, snapshots handed out
+    for dw in dw_blocks:
+        dw_kicks = (scale * (dw / sqrt_dt)).reshape(len(dw), -1)
+        for start in range(0, len(dw), steps):
+            k = min(steps, len(dw) - start)
+            kicks.reshape(steps, -1)[:k, forced] = dw_kicks[start:start + k]
+            with np.errstate(over="ignore", invalid="ignore"):
+                for src, dst, kick in zip(states[:k], states[1:k + 1], kick_rows):
+                    if square is None:
+                        np.multiply(src, decay, out=dst)
+                    else:
+                        sq = square(src)
+                        sq *= dt
+                        np.subtract(src, sq, out=dst)
+                        dst *= decay
+                    dst += kick
+            if not np.isfinite(block[1:k + 1]).all():
+                finite = np.isfinite(block[1:k + 1].reshape(k, n_rows, basis.dim)).all(-1)
+                step, bad = (int(i) for i in np.argwhere(~finite)[0])  # earliest, then row
+                raise SimulationError(t0 + (n + step + 1) * dt, n + step + 1,
                                       None if streams is None else streams[bad],
-                                      math.hypot(*coeffs.reshape(-1, basis.dim)[bad]))
-            coeffs = advanced
-            if n == due:
-                yield times[row], coeffs
-                row += 1
-                due = snaps[row]
+                                      math.hypot(*block[step].reshape(n_rows, basis.dim)[bad]))
+            end = int(np.searchsorted(snaps, n + k, side="right"))
+            if end > row:
+                yield times[row:end], block[snaps[row:end] - n]
+            n, row = n + k, end
+            block[0] = block[k]
 
 
 #: Normals drawn per block of an ensemble's increments, over all replicas.
@@ -698,12 +757,15 @@ NOISE_BLOCK = 1 << 15
 
 def ensemble(state0: SpectralState, params: EquationParams, noise: NoiseSpec,
              horizon: float, seed, streams, snapshot_stride: int = 1):
-    """Replicas of ``state0`` in one time loop; yields (t, coeffs (R, dim)).
+    """Replicas of ``state0`` in one time loop; yields (times (k,), states (k, R, dim))
+    chunks of consecutive snapshots.
 
     Row i is the trajectory on stream ``trajectory_seed(seed, streams[i])``
-    and equals, bit for bit, the states of ``simulate`` with that seed.  Its
-    increments are drawn in blocks of steps, which concatenate to the single
-    draw ``simulate`` makes, and only the current snapshot is held.
+    and, with the chunks concatenated, equals bit for bit the states of
+    ``simulate`` with that seed.  Its increments are drawn in blocks of
+    steps, which concatenate to the single draw ``simulate`` makes.  A chunk
+    holds the snapshots of one block of steps (``STEP_BLOCK``), so the caller
+    can reduce it before the next one, and no ensemble holds its whole record.
     """
     streams = [int(i) for i in streams]
     n_steps = _step_count(horizon, params.dt, snapshot_stride)
@@ -753,7 +815,8 @@ def simulate(state0: SpectralState, params: EquationParams, noise: NoiseSpec,
              increments: Optional[np.ndarray] = None) -> TrajectoryRecord:
     """Integrate up to the horizon; deterministic in (inputs, seed).
 
-    The one-replica case of the ensemble loop, with the whole record kept.
+    The one-replica case of the ensemble loop, with the whole record kept:
+    each chunk of snapshots is copied into it as the loop hands it out.
     ``increments`` overrides the generated Brownian increments (used by the
     refinement studies that share one underlying path across step sizes).
     """
@@ -769,10 +832,11 @@ def simulate(state0: SpectralState, params: EquationParams, noise: NoiseSpec,
 
     n_snaps = len(snapshot_steps(n_steps, snapshot_stride))
     times, states = np.empty(n_snaps), np.empty((n_snaps, state0.basis.dim))
-    for row, (t, coeffs) in enumerate(_integrate(state0.basis, state0.coeffs, state0.time,
-                                                 params, noise, n_steps, snapshot_stride,
-                                                 [dws])):
-        times[row], states[row] = t, coeffs
+    row = 0
+    for t, chunk in _integrate(state0.basis, state0.coeffs, state0.time, params, noise,
+                               n_steps, snapshot_stride, [dws]):
+        times[row:row + len(t)], states[row:row + len(t)] = t, chunk
+        row += len(t)
 
     return TrajectoryRecord(
         basis=state0.basis, params=params, noise=noise, seed=seed, dt=dt,

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from torusmhd import diagnostics
+from torusmhd import diagnostics, galerkin
 from torusmhd.diagnostics import (
     PILOT_STREAM,
     Observable,
@@ -269,22 +269,33 @@ class TestBatchedEnsembles:
             assert np.array_equal(probe.log_statistic, alone.log_statistic)
 
     def test_reducing_in_chunks_changes_no_bit(self, monkeypatch):
-        # snapshots are reduced in chunks of HELD_COEFFS coefficients; one
-        # snapshot per chunk must give the same values as one chunk for all
+        # snapshots are handed out and reduced in chunks of one block of
+        # steps; blocks of one step, and blocks that end partway through the
+        # stride-3 snapshot grid and the noise blocks, must give the same
+        # values as the default blocks, which hold each whole run
         basis = ModeBasis(3)
         params = EquationParams(alpha=1.5, beta=1.5, n_cut=3, dt=0.01)
         noise = NoiseSpec.uniform([(0, 1), (1, 1)], 0.8)
         obs = Observable("total_energy")
         u0 = SpectralState(basis, 0.3 * np.random.default_rng(2).standard_normal(basis.dim))
+        u1 = SpectralState(basis, np.zeros(basis.dim))
 
         def run():
             clt = clt_sample(u0, params, noise, obs, 0.1, 3, seed=4, pilot_horizon=0.2)
             moments = exp_moment_ensemble(u0, params, noise, 0.1, 2, seed=4, eta=0.1)
-            return [clt.m_hat, *clt.samples] + [m.log_statistic for m in moments]
+            mix = mixing_decay_estimate(u0, u1, params, noise, obs, 0.1, 3, seed=4,
+                                        snapshot_stride=3)
+            return ([clt.m_hat, *clt.samples] + [m.log_statistic for m in moments]
+                    + [mix.times, mix.abs_diff, mix.noise_floor])
 
         whole = run()
-        monkeypatch.setattr(diagnostics, "HELD_COEFFS", 1)
-        assert all(np.array_equal(a, b) for a, b in zip(whole, run()))
+        assert galerkin.STEP_BLOCK > 21 * 3 * basis.dim
+        # 15 dim: blocks of 14 pilot steps, 6 steps of two rows, 4 of three
+        for step_block in (1, 15 * basis.dim):
+            with monkeypatch.context() as patch:
+                patch.setattr(galerkin, "STEP_BLOCK", step_block)
+                patch.setattr(galerkin, "NOISE_BLOCK", 5 * 3 * noise.dim)
+                assert all(np.array_equal(a, b) for a, b in zip(whole, run()))
 
     def test_clt_memory_holds_reduced_values_only(self):
         # the states of all replicas, (50, 2501, 24) float64, would take 24 MB

@@ -47,6 +47,12 @@ def one_step(state, params, noise, dw=None):
     return SpectralState(state.basis, rec.states[-1], float(rec.times[-1]))
 
 
+def chunked(chunks):
+    """The (times, states) chunks of a time loop, concatenated."""
+    times, states = zip(*chunks)
+    return np.concatenate(times), np.concatenate(states)
+
+
 class TestBasis:
     def test_dimension_counts_full_ball(self):
         basis = ModeBasis(2)
@@ -226,17 +232,18 @@ class TestBilinear:
         assert np.array_equal(bilinear_transform(basis, c, c),
                               bilinear_transform(basis, c, c.copy()))
 
-    @pytest.mark.parametrize("n_cut", [5, 9, 12, 16])
+    @pytest.mark.parametrize("n_cut", [5, 9, 10, 12, 16])
     def test_grid_route_batched_rows_equal_lone_calls(self, n_cut):
         # 5 rows, and 120 rows: the ensemble size of ``clt`` and ``mix``
         basis = ModeBasis(n_cut)
         rng = np.random.default_rng(n_cut)
         for rows in (5, 120):
             cu, cv = rng.standard_normal((2, rows, basis.dim))
-            for a, b in ((cu, cu), (cu, cv)):
+            for a, b in ((cu, cu), (cu, cv), (cu, cv[:1])):  # the last broadcasts one row
                 batch = bilinear_transform(basis, a, b)
                 for row in range(rows):
-                    assert np.array_equal(batch[row], bilinear_transform(basis, a[row], b[row]))
+                    assert np.array_equal(batch[row],
+                                          bilinear_transform(basis, a[row], b[row % len(b)]))
             batch = transform_square(basis, cu)
             for row in range(rows):
                 assert np.array_equal(batch[row], transform_square(basis, cu[row]))
@@ -245,16 +252,20 @@ class TestBilinear:
     def test_square_matches_triads(self, n_cut):
         # the time loop's B(U, U) from the output-sorted pair list, against the
         # unmerged triads; batched rows, 37 of them so that the blocks of 16 end
-        # in a partial one, equal lone calls bit for bit
+        # in a partial one, equal lone calls bit for bit; one squarer serves
+        # every call, so its gather buffers grow from one row to a block and
+        # are then reused by the lone calls
         table = triad_table(n_cut)
+        square = table.squarer()
         assert galerkin.SQUARE_BLOCK < 37 and 37 % galerkin.SQUARE_BLOCK
         rng = np.random.default_rng(40 + n_cut)
         lone, *batch = rng.standard_normal((38, ModeBasis(n_cut).dim))
         batch = np.array(batch)
         for c in (lone, batch):
             want = table.apply(c, c)
-            assert np.max(np.abs(table.square(c) - want)) <= 1e-14 * np.max(np.abs(want))
-        assert all(np.array_equal(row, table.square(c)) for row, c in zip(table.square(batch), batch))
+            assert np.max(np.abs(square(c) - want)) <= 1e-14 * np.max(np.abs(want))
+        assert all(np.array_equal(row, square(c)) for row, c in zip(square(batch), batch))
+        assert np.array_equal(table.square(batch), square(batch))
 
     def test_merged_jacobian_matches_unmerged_triads(self):
         # apply sums the unmerged triads, so its rows L e_j = B(U, e_j) + B(e_j, U)
@@ -409,20 +420,32 @@ class TestSimulate:
             simulate(huge, params, noise, 5.0, seed=0)
         assert (err.value.step, err.value.replica) == (1, None)
 
-    @pytest.mark.parametrize("amplitude, noise_amp, streams, stride, block, expect", [
-        pytest.param(1e200, 1.0, [4, 7], 1, None, (1, 4), id="first_step"),
-        pytest.param(0.0, 10**103.4, [0, 1, 5, 7], 2, None, (3, 5), id="off_snapshot_grid"),
-        pytest.param(0.0, 10**103.4, [0, 1, 5, 7], 1, 2, (3, 5), id="second_noise_block"),
+    @pytest.mark.parametrize("amplitude, noise_amp, streams, stride, block, steps, expect", [
+        pytest.param(1e200, 1.0, [4, 7], 1, None, None, (1, 4), id="first_step"),
+        pytest.param(0.0, 10**103.4, [0, 1, 5, 7], 2, None, None, (3, 5),
+                     id="off_snapshot_grid"),
+        pytest.param(0.0, 10**103.4, [0, 1, 5, 7], 1, 2, None, (3, 5), id="second_noise_block"),
+        pytest.param(0.0, 10**103.4, [0, 1, 5, 7], 1, None, 2, (3, 5), id="first_of_step_block"),
+        pytest.param(0.0, 10**103.4, [0, 1, 5, 7], 2, None, 3, (3, 5), id="last_of_step_block"),
+        pytest.param(0.0, 10**103.4, [0, 1, 5, 7], 1, None, 1, (3, 5), id="one_step_blocks"),
+        pytest.param(1e200, None, [4, 7], 1, None, 2, (1, 4), id="empty_noise"),
+        pytest.param(1e200, 1.0, [], 1, None, 2, None, id="empty_streams"),
     ])
     def test_blowup_matches_per_step_reference(self, monkeypatch, amplitude, noise_amp,
-                                               streams, stride, block, expect):
+                                               streams, stride, block, steps, expect):
         # noise of amplitude 10^103.4 overflows stream 5 at step 3 and the
-        # other streams at step 4; the first case blows up in the first step
+        # other streams at step 4; the 1e200 states blow up in the first step.
+        # ``steps`` is the length of a block of steps: 2 puts step 3 first in
+        # its block, 3 puts it last
         basis = ModeBasis(2)
         params = make_params(n_cut=2, dt=1.0, alpha=1.01, beta=1.01)
         u0 = SpectralState(basis, amplitude * np.ones(basis.dim))
-        noise = NoiseSpec.uniform([(0, 1), (1, 1)], noise_amp)
+        noise = EMPTY_NOISE if noise_amp is None else NoiseSpec.uniform([(0, 1), (1, 1)], noise_amp)
         n_steps = 6
+
+        def step_block(rows):
+            if steps is not None:
+                monkeypatch.setattr(galerkin, "STEP_BLOCK", (steps + 1) * rows * basis.dim)
 
         def reference(stream):
             """(step, last finite norm) of chained one-step runs on the stream's increments."""
@@ -437,16 +460,24 @@ class TestSimulate:
 
         with np.errstate(all="ignore"):
             refs = [reference(s) for s in streams]
+            if block is not None:  # increments in blocks of 2 steps: step 3 is in the second
+                monkeypatch.setattr(galerkin, "NOISE_BLOCK", block * len(streams) * noise.dim)
+            step_block(len(streams))
+            run = lambda: list(ensemble(u0, params, noise, n_steps * params.dt, seed=0,
+                                        streams=streams, snapshot_stride=stride))
+            if expect is None:  # no replica, so nothing to blow up
+                times, states = chunked(run())
+                assert np.array_equal(times, snapshot_steps(n_steps, stride))
+                assert states.shape == (len(times), 0, basis.dim)
+                return
             first = min(range(len(streams)), key=lambda i: refs[i][0])  # earliest, then row
             want_step, want_norm = refs[first]
             assert (want_step, streams[first]) == expect  # off the stride-2 grid
-            if block is not None:  # increments in blocks of 2 steps: step 3 is in the second
-                monkeypatch.setattr(galerkin, "NOISE_BLOCK", block * len(streams) * noise.dim)
             with pytest.raises(SimulationError) as err:
-                list(ensemble(u0, params, noise, n_steps * params.dt, seed=0, streams=streams,
-                              snapshot_stride=stride))
+                run()
             assert (err.value.step, err.value.replica, err.value.last_norm, err.value.time) == \
                 (want_step, streams[first], want_norm, want_step * params.dt)
+            step_block(1)
             with pytest.raises(SimulationError) as err:
                 simulate(u0, params, noise, n_steps * params.dt,
                          seed=trajectory_seed(0, streams[first]), snapshot_stride=stride)
@@ -465,13 +496,39 @@ class TestSimulate:
             basis = ModeBasis(n_cut)
             params = make_params(n_cut=n_cut)
             u0 = SpectralState(basis, 0.2 * np.random.default_rng(4).standard_normal(basis.dim))
-            snaps = list(ensemble(u0, params, noise, 0.05, seed=9, streams=[2, 0, 5],
-                                  snapshot_stride=2))
+            times, states = chunked(ensemble(u0, params, noise, 0.05, seed=9,
+                                             streams=[2, 0, 5], snapshot_stride=2))
             for row, stream in enumerate([2, 0, 5]):
                 rec = simulate(u0, params, noise, 0.05, trajectory_seed(9, stream),
                                snapshot_stride=2)
-                assert np.array_equal([t for t, _ in snaps], rec.times)
-                assert np.array_equal([c[row] for _, c in snaps], rec.states)
+                assert np.array_equal(times, rec.times)
+                assert np.array_equal(states[:, row], rec.states)
+
+    def test_block_size_changes_no_bit(self, monkeypatch):
+        # blocks of one step, and blocks of 4 ensemble steps (14 lone ones) that
+        # end partway through the stride-3 snapshot grid and through the noise
+        # blocks of 10 steps, against the default blocks that hold the whole run
+        noise = NoiseSpec.uniform([(0, 1), (1, 1)], 1.0)
+        streams = [2, 0, 5]
+        for n_cut in (3, 5):  # triad route, grid route
+            basis = ModeBasis(n_cut)
+            params = make_params(n_cut=n_cut)
+            u0 = SpectralState(basis, 0.2 * np.random.default_rng(4).standard_normal(basis.dim))
+            horizon = 25 * params.dt
+            assert galerkin.STEP_BLOCK > 26 * len(streams) * basis.dim
+
+            def run():
+                rec = simulate(u0, params, noise, horizon, seed=9, snapshot_stride=3)
+                return (rec.times, rec.states,
+                        *chunked(ensemble(u0, params, noise, horizon, seed=9,
+                                          streams=streams, snapshot_stride=3)))
+
+            whole = run()
+            for step_block in (1, 15 * basis.dim):
+                with monkeypatch.context() as patch:
+                    patch.setattr(galerkin, "STEP_BLOCK", step_block)
+                    patch.setattr(galerkin, "NOISE_BLOCK", 10 * len(streams) * noise.dim)
+                    assert all(np.array_equal(a, b) for a, b in zip(whole, run()))
 
 
     @pytest.mark.parametrize("n_cut, nonlinear, given", [
