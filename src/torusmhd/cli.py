@@ -247,11 +247,9 @@ def cmd_simulate(cfg: ExperimentConfig, basis: ModeBasis, out: OutputDir) -> Non
                    snapshot_stride=cfg.run.snapshot_stride)
     header = ["time", "total_energy"] + [m.label() for m, _ in tracked]
     energy = (rec.states**2).sum(axis=1)
-    rows = [
-        [float(rec.times[i]), float(energy[i])] + [float(rec.states[i, j]) for _, j in tracked]
-        for i in range(len(rec.times))
-    ]
-    out.write_csv("trajectory.csv", header, rows)
+    columns = rec.states[:, [j for _, j in tracked]]
+    out.write_csv("trajectory.csv", header,
+                  np.column_stack([rec.times, energy, columns]).tolist())
     out.write_json("run_summary.json", {
         "final_time": float(rec.times[-1]),
         "final_energy": float(energy[-1]),
@@ -303,8 +301,7 @@ def cmd_malliavin(cfg: ExperimentConfig, basis: ModeBasis, out: OutputDir) -> No
                 header.append(f"<sigma[{entry.k[0]},{entry.k[1]}]^{entry.parity},"
                               f"K {mode.label()}>")
         flat = profiles.reshape(len(times), -1)  # probe-major, forced entry minor
-        rows = [[float(t)] + [float(v) for v in flat[i]] for i, t in enumerate(times)]
-        out.write_csv("response_profiles.csv", header, rows)
+        out.write_csv("response_profiles.csv", header, np.column_stack([times, flat]).tolist())
 
 
 @_config_command
@@ -316,7 +313,7 @@ def cmd_lln(cfg: ExperimentConfig, basis: ModeBasis, out: OutputDir) -> None:
     report = time_average(rec, obs, burn_in=cfg.analysis.burn_in)
     values = obs.of_states(basis, rec.states)
     out.write_csv("lln_timeseries.csv", ["time", "observable"],
-                  [[float(t), float(v)] for t, v in zip(rec.times, values)])
+                  np.column_stack([rec.times, values]).tolist())
     out.write_json("lln_report.json", report.to_dict())
 
 
@@ -330,7 +327,7 @@ def cmd_clt(cfg: ExperimentConfig, basis: ModeBasis, out: OutputDir) -> None:
                         pilot_horizon=analysis.pilot_horizon, burn_in=analysis.burn_in,
                         snapshot_stride=cfg.run.snapshot_stride)
     out.write_csv("clt_samples.csv", ["replica", "normalized_integral"],
-                  [[i, float(v)] for i, v in enumerate(report.samples)])
+                  [[i, v] for i, v in enumerate(report.samples.tolist())])
     payload = report.to_dict()
     payload.pop("samples")
     out.write_json("clt_report.json", payload)
@@ -347,8 +344,7 @@ def cmd_mix(cfg: ExperimentConfig, basis: ModeBasis, out: OutputDir) -> None:
                                    cfg.run.horizon, replicas, cfg.run.seed,
                                    snapshot_stride=cfg.run.snapshot_stride)
     out.write_csv("mix_decay.csv", ["time", "abs_diff", "noise_floor"],
-                  [[float(t), float(d), float(f)]
-                   for t, d, f in zip(report.times, report.abs_diff, report.noise_floor)])
+                  np.column_stack([report.times, report.abs_diff, report.noise_floor]).tolist())
     payload = report.to_dict()
     for key in ("times", "abs_diff", "noise_floor"):
         payload.pop(key)
@@ -375,9 +371,7 @@ def cmd_moment(cfg: ExperimentConfig, basis: ModeBasis, out: OutputDir) -> None:
             raise RuntimeError(f"moment: the {name} of the statistic exp(log_statistic) "
                                f"is not finite at eta={eta:g}")
     header = ["time", "ensemble_mean"] + [f"traj{i}" for i in range(n_traj)]
-    rows = [[float(times[i]), float(mean_stat[i])] + [float(logs[j, i]) for j in range(n_traj)]
-            for i in range(len(times))]
-    out.write_csv("moment_series.csv", header, rows)
+    out.write_csv("moment_series.csv", header, np.column_stack([times, mean_stat, logs.T]).tolist())
     out.write_json("moment_report.json", {
         "eta": eta, "fitted_prefactor": c_fit,
         "trajectories": n_traj,

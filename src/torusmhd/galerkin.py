@@ -17,13 +17,14 @@ The quadratic advection term B(U, V) has two independent realizations:
                       ``np.add.reduceat``;
   * the grid route  - the conservative (divergence) form div(u (x) v) of
                       the advection, which holds because the advecting
-                      fields are divergence-free: one put of the retained
-                      amplitudes and two matrix products with the DFT
-                      matrices restricted to the retained band, a complex
-                      one along x2 and a real one along x1, build the
-                      fields; two more take their pointwise products back to
-                      the retained modes, where the derivative and the Leray
-                      projection are weights.  B(U, V) transforms eight
+                      fields are divergence-free, in real arithmetic on the
+                      retained band: one take of the weighted coefficients
+                      and two real products with the band's cos and sin
+                      tables build the fields; two more take their
+                      pointwise products to cos and sin sums on the band,
+                      and one take of those sums times real weights, where
+                      the derivative and the Leray projection are folded
+                      in, gives the coefficients.  B(U, V) transforms eight
                       product fields and the time loop's B(U, U) three,
                       because the Leray projection removes the trace part of
                       the symmetric flux.  The grid has at least 3*n_cut + 1
@@ -133,13 +134,15 @@ class ModeBasis:
     a block the canonical wavevectors are sorted by (|k|^2, k1, k2) and each
     carries its cos coefficient followed by its sin coefficient.
 
-    The grid transforms are products with DFT matrices restricted to the
-    retained band, built here once.  At these sizes a matrix product beats an
-    FFT, whose cost is mostly per-call overhead.  ``transform_square`` on a
-    lone state, per call on a 2-vCPU x86 VM, medians of six fresh-process
-    runs, against the pruned FFT passes it replaced: 69-119 against 113-211 us
-    at n_cut=10, 42-77 against 73-150 us at 5, and 297-458 against 722-1374 us
-    at 24, whose default grid 74 = 2 * 37 is slow for an FFT.
+    The grid transforms are real matrix products with the cos and sin tables
+    of the retained band, built here once.  At these sizes a matrix product
+    beats an FFT, whose cost is mostly per-call overhead.  Only k2 >= 0 enters
+    the tables, and the synthesis uses the analysis tables transposed, so no
+    pass reorders an axis.  ``transform_square`` on a lone state, per call on
+    a 2-vCPU x86 VM, medians in three fresh processes that time both routes
+    interleaved, against complex DFT matrices on the full band: 53-91 against
+    79-131 us at n_cut=10, 34-50 against 48-67 us at 5, and 620-689 against
+    652-722 us at 32.
     """
 
     def __init__(self, n_cut: int, grid: Optional[int] = None):
@@ -166,31 +169,54 @@ class ModeBasis:
         self.kvec = np.array(self.canon, dtype=int)
         self.ksq = np.array([norm_sq(k) for k in self.canon], dtype=float)
         self.dir0 = np.array([direction(k, COS) for k in self.canon])
-        # separable DFT matrices on the retained band, x1 columns k1 in
-        # [0, n_cut] and x2 rows k2 in [-n_cut, n_cut]: each angle is the exact
-        # integer (k j) mod m before the scaling by 2 pi / m
-        m, cols, rows = self.grid, n_cut + 1, 2 * n_cut + 1
-        angle = lambda k: (2.0 * math.pi / m) * (np.outer(k, np.arange(m)) % m)
-        a1, a2 = angle(np.arange(cols)), angle(np.arange(-n_cut, n_cut + 1))
-        # x1 columns as (cos, -sin) pairs, the (Re, Im) interleave of a complex
-        # column; the synthesis doubles them, 2 Re sum over the canonical modes
-        x1 = np.stack([np.cos(a1), -np.sin(a1)], 1).reshape(2 * cols, m)
-        self._x1_syn, self._x1_ana = 2.0 * x1, x1.T.copy()  # (2 cols, m), (m, 2 cols)
-        self._x2_syn = np.exp(1j * a2.T)                      # (m, rows)
-        self._x2_ana = np.exp(-1j * a2)                       # (rows, m)
-        # flat index of each canonical k in the (rows, cols) band, where synthesis
-        # puts its amplitude (c_cos + i c_sin) dir0_c / (2 BASIS_NORM) and
-        # analysis reads its Fourier sum
-        k1, k2 = self.kvec[:, 0], self.kvec[:, 1]
-        self._pick = (k2 + n_cut) * cols + k1
-        self._put_dir = self.dir0.T / (2.0 * BASIS_NORM)
-        # rectangle-rule weights of the projection onto the unit directions,
-        # (c, n_k), and of i q_d dir0_c(q) for the divergence form, (2d + c, n_k)
-        self._proj = (2.0 * math.pi / m) ** 2 / BASIS_NORM * self.dir0.T
-        self._div = 1j * (self.kvec.T[:, None, :] * self._proj).reshape(4, -1)
-        # the same weights on the three products (2A, C, w) of ``transform_square``
-        self._div_sq = np.array([0.5 * (self._div[0] - self._div[3]), self._div[1] + self._div[2],
-                                 self._div[1] - self._div[2]])
+        # The retained band is k1 in [0, n_cut] along x1 and q = |k2| in
+        # [0, n_cut] along x2: the sums at k2 = -q follow from those at q by
+        # the parity of cos and sin.  Each angle is the exact integer (j k) mod m
+        # before the scaling by 2 pi / m.
+        m, cols, n_k = self.grid, n_cut + 1, self.n_k
+        angle = (2.0 * math.pi / m) * (np.outer(np.arange(m), np.arange(cols)) % m)
+        cos, sin = np.cos(angle), np.sin(angle)                            # (m, cols)
+        # analysis of a plane P: [cos(q x2); sin(q x2)], rows interleaved per q,
+        # then along x1 the four sums [Pc+ | Ps+ | Pc- | Ps-] per q, where Pc+-
+        # is sum P cos(k.x) and Ps+- sum P sin(k.x) at k = (k1, +-q)
+        self._sum_x2 = np.stack([cos.T, sin.T], 1).reshape(2 * cols, m)
+        self._sum_x1 = np.block([[cos, sin, cos, sin], [-sin, cos, sin, -cos]])  # (2m, 4 cols)
+        # synthesis is the transposed analysis: a band of coefficients on those
+        # four sums gives the field sum_k Bc cos(k.x) + Bs sin(k.x)
+        self._field_x1, self._field_x2 = self._sum_x1.T.copy(), self._sum_x2.T.copy()
+        # position in a plane's (cols, 4 cols) sums of each slot coefficient's
+        # own sum (Pc for the cos, Ps for the sin coefficient) and of the other
+        k1, k2 = self.kvec.T
+        at = np.abs(k2) * 4 * cols + 2 * (k2 < 0) * cols + k1
+        own, other = np.stack([at, at + cols], 1).ravel(), np.stack([at + cols, at], 1).ravel()
+        plane = cols * 4 * cols
+        # the band of one slot, (component, cols, 4 cols): a take of the slot
+        # padded with a zero (entry 2 n_k), times weights, so that component
+        # c's field is sum_k dir0_c (c_cos cos(k.x) - c_sin sin(k.x)) / BASIS_NORM
+        sign = np.tile([1.0, -1.0], n_k)  # on the (cos, sin) coefficient of each k
+        band, weight = np.full((2, plane), 2 * n_k), np.zeros((2, plane))
+        band[:, own] = np.arange(2 * n_k)
+        weight[:, own] = np.repeat(self.dir0.T, 2, 1) * sign / BASIS_NORM
+        self._band, self._band_weight = band.reshape(2, cols, -1), weight.reshape(2, cols, -1)
+        # ``_fold`` terms, (index, weight) of shape (terms, coefficients).  The
+        # projection onto the unit directions has the real rectangle-rule
+        # weight omega_c = (2 pi / m)^2 dir0_c / BASIS_NORM on (Pc - i Ps), whose
+        # (Re, Im) are the (cos, sin) coefficients: one term per component
+        omega = (2.0 * math.pi / m) ** 2 / BASIS_NORM * self.dir0          # (n_k, c)
+        self._gather_terms = (own + plane * np.arange(2)[:, None], np.repeat(omega.T, 2, 1) * sign)
+        # the divergence form's weight i q_d omega_c is imaginary, so the cos
+        # coefficient is q_d omega_c Ps and the sin coefficient q_d omega_c Pc
+        div = np.repeat(self.kvec[:, :, None] * omega[:, None, :], 2, 0).reshape(-1, 4).T
+        on = lambda planes: other + plane * np.array(planes)[:, None]  # one term per plane
+        # B(U, V): the velocity row over the planes T_dc, the magnetic row over
+        # S_dc, term 2d + c on plane 2d + c of each
+        self._flux_terms = (np.concatenate([on(range(4)), on(range(4, 8))], 1), np.tile(div, 2))
+        # B(U, U) over the planes (2A, C, w): the velocity row is (div0 - div3) / 2
+        # on 2A plus (div1 + div2) on C, the magnetic row (div1 - div2) on w plus
+        # w again, weighted 0
+        self._square_terms = (np.concatenate([on([0, 1]), on([2, 2])], 1),
+                              np.concatenate([[0.5 * (div[0] - div[3]), div[1] + div[2]],
+                                              [div[1] - div[2], np.zeros(2 * n_k)]], 1))
         self._kindex = {k: j for j, k in enumerate(self.canon)}
 
     # -- indexing ----------------------------------------------------------
@@ -232,39 +258,43 @@ class ModeBasis:
     # -- transforms ---------------------------------------------------------
     #
     # A physical field (..., 2, m, m) holds component c at x = 2 pi (j1, j2) / m
-    # in [..., c, j2, j1].  Both passes are two matrix products with the DFT
-    # matrices of the retained band, one per axis, so no grid mode outside the
-    # band is formed.  Each product is one plane's, one slot's or one state's
-    # own, repeated over the leading axes and never merged across them: a
-    # batched row makes the BLAS calls of a lone state, with the same shapes,
-    # and equals it bit for bit, where one product over all rows would not.
+    # in [..., c, j2, j1].  Both passes are two real matrix products with the
+    # cos and sin tables of the retained band, one per axis, so no grid mode
+    # outside the band is formed.  Each product is one plane's, one
+    # component's or one state's own, repeated over the leading axes and never
+    # merged across them: a batched row makes the BLAS calls of a lone state,
+    # with the same shapes, and equals it bit for bit, where one product over
+    # all rows would not.
 
     def synthesize(self, c_slot: np.ndarray) -> np.ndarray:
         """Slot coefficients (..., 2*n_k) -> physical field (..., 2, m, m).
 
-        One put of the amplitudes into the (rows, cols) band of each
-        component, a complex product along x2, and a real product along x1
-        that reads the (Re, Im) interleave of its columns.
+        One take of the zero-padded coefficients times the weights builds each
+        component's band, one product along x1 per leading index (the slots
+        of one state) and one along x2 per component turn it into the field.
         """
-        amp = np.ascontiguousarray(c_slot, dtype=float).view(complex)  # c_cos + i c_sin
-        lead, m, cols = amp.shape[:-1], self.grid, self.n_cut + 1
-        band = np.zeros(lead + (2, (2 * self.n_cut + 1) * cols), dtype=complex)
-        band[..., self._pick] = amp[..., None, :] * self._put_dir
-        g = self._x2_syn @ band.reshape(lead + (2, -1, cols))               # (..., 2, m, cols)
-        f = g.view(float).reshape(lead + (2 * m, 2 * cols)) @ self._x1_syn  # one slot's product
-        return f.reshape(lead + (2, m, m))
+        c = np.asarray(c_slot, dtype=float)
+        lead, cols = c.shape[:-1], self.n_cut + 1
+        padded = np.zeros(lead + (c.shape[-1] + 1,))
+        padded[..., :-1] = c
+        band = np.take(padded, self._band, -1)                           # (..., 2, cols, 4 cols)
+        band *= self._band_weight
+        g = band.reshape(lead[:-1] + (-1, 4 * cols)) @ self._field_x1     # (..., 2 cols, 2m)
+        return self._field_x2 @ g.reshape(lead + (2, 2 * cols, self.grid))
 
     def _retained(self, planes: np.ndarray) -> np.ndarray:
-        """Fourier sums of real planes (..., P, m, m) at the canonical modes, (..., P, n_k).
+        """Cos and sin sums of real planes (..., P, m, m) on the retained band.
 
-        A real product along x1 onto the columns k1 <= n_cut, a complex one
-        along x2 onto the rows |k2| <= n_cut, and one take of the modes.
+        Returns (..., P, cols, 4 cols): in row |k2|, sum P cos(k.x) at column
+        k1 for k2 >= 0 and 2 cols + k1 for k2 < 0, and sum P sin(k.x) a block of
+        cols to the right.  They are the real part and minus the imaginary
+        part of the planes' DFT.  One product along x2 per plane, and one along
+        x1 per leading index (the planes of one state).
         """
-        m = self.grid
         lead = planes.shape[:-2]
-        r = planes.reshape(lead[:-1] + (-1, m)) @ self._x1_ana   # one state's product
-        hat = self._x2_ana @ r.view(complex).reshape(lead + (m, -1))
-        return np.take(hat.reshape(lead + (-1,)), self._pick, -1)
+        y = self._sum_x2 @ planes                                        # (..., P, 2 cols, m)
+        sums = y.reshape(lead[:-1] + (-1, 2 * self.grid)) @ self._sum_x1
+        return sums.reshape(lead + (self.n_cut + 1, -1))
 
     def gather(self, fields: np.ndarray) -> np.ndarray:
         """Physical field (..., 2, m, m) -> slot coefficients (..., 2*n_k).
@@ -272,9 +302,22 @@ class ModeBasis:
         Projecting onto the divergence-free unit directions performs the
         Leray projection and the spectral truncation in one stroke.
         """
-        picked = self._retained(fields)  # (..., 2, n_k)
-        z = self._proj[0] * picked[..., 0, :] + self._proj[1] * picked[..., 1, :]
-        return z.view(float)  # (Re, Im) pairs are the (cos, sin) coefficients
+        return _fold(self._retained(fields), *self._gather_terms)
+
+
+def _fold(sums: np.ndarray, index: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """Coefficients out[..., i] = sum_t weight[t, i] * sums[..., index[t, i]].
+
+    ``sums`` is ``_retained``'s (..., P, cols, 4 cols), read flat per leading
+    index; the terms t are added in order, so a batched row adds as a lone
+    call does.
+    """
+    terms = np.take(sums.reshape(sums.shape[:-3] + (-1,)), index, -1)  # (..., T, out)
+    terms *= weight
+    out = np.add(terms[..., 0, :], terms[..., 1, :])
+    for t in range(2, len(index)):
+        out += terms[..., t, :]
+    return out
 
 
 @dataclass
@@ -376,8 +419,10 @@ def bilinear_transform(basis: ModeBasis, cu: np.ndarray, cv: np.ndarray) -> np.n
         T_dc = u_d u'_c - b_d b'_c,    S_dc = u_d b'_c - b_d u'_c.
 
     ``synthesize`` builds the fields of U and V (only U's when ``cv is cu``),
-    and ``_retained`` takes the eight products to the retained modes, where
-    the derivative and the projection are the weights i q_d dir0_c(q).
+    ``_retained`` takes the eight products to their cos and sin sums on the
+    band, and ``_fold`` those to the retained modes, where the derivative and
+    the projection are the weights i q_d dir0_c(q), four real terms per
+    coefficient.
     Broadcasts over the leading axes of both arguments, and runs a batch in
     blocks of up to ``SQUARE_BLOCK`` rows, as the squares do.  This is the
     general form, and the oracle of ``transform_square``, which the time loop
@@ -393,10 +438,8 @@ def bilinear_transform(basis: ModeBasis, cu: np.ndarray, cv: np.ndarray) -> np.n
         # (rows, s', d, c, m, m): u_d against (u', b')_c minus b_d against (b', u')_c
         flux = f[:, 0, None, :, None, :, :] * g[:, :, None, :, :, :]
         flux -= f[:, 1, None, :, None, :, :] * g[:, ::-1, None, :, :, :]
-        hat = basis._retained(flux.reshape((len(u), 8) + flux.shape[-2:]))
-        # term by term, so that a batched row adds in the order of a lone state
-        z = sum(basis._div[j] * hat[:, j::4, :] for j in range(4))  # (rows, 2, n_k)
-        return z.view(float).reshape(u.shape)
+        sums = basis._retained(flux.reshape((len(u), 8) + flux.shape[-2:]))
+        return _fold(sums, *basis._flux_terms)
 
     if cv is cu:
         return _in_row_blocks(pair, np.asarray(cu))
@@ -434,13 +477,7 @@ def transform_square(basis: ModeBasis, cu: np.ndarray) -> np.ndarray:
         np.multiply(u1, b2, out=w)
         np.multiply(u2, b1, out=t)
         w -= t
-        hat = basis._retained(planes)  # (rows, 3, n_k)
-        z = np.empty((len(rows), 2, basis.n_k), dtype=complex)
-        weight = basis._div_sq
-        np.multiply(weight[0], hat[:, 0], out=z[:, 0])
-        z[:, 0] += weight[1] * hat[:, 1]
-        np.multiply(weight[2], hat[:, 2], out=z[:, 1])
-        return z.view(float).reshape(rows.shape)
+        return _fold(basis._retained(planes), *basis._square_terms)
 
     return _in_row_blocks(square, cu)
 
@@ -455,13 +492,13 @@ def _pair_projection(k: Vec, m: int, l: Vec, m2: int) -> tuple:
 #: Largest n_cut at which the simulator takes B from the triad table.  Its
 #: work grows like n_cut^4, the grid route's like n_cut^3 in its matrix
 #: products plus a fixed per-call overhead.  B(U, U) per state on a 2-vCPU x86
-#: VM, ``TriadTable.square`` against ``transform_square``, both in blocks of 16
-#: rows, medians of three fresh processes: a lone state 31-33 against 50-71 us
-#: at n_cut=4, 45-69 against 52-76 us at 5 and 120-139 against 50-88 us at 6;
-#: a row of a 120-row batch 15-24 against 16-23 us at 4, 51-72 against 17-28 us
-#: at 5 and 324-371 against 27-38 us at 6.  At 5 the two disagree, so the table
-#: stops at 4.  The route depends on n_cut only, so that a batched row equals
-#: the lone state bit for bit.
+#: VM, ``TriadTable.squarer`` against ``transform_square``, both in blocks of
+#: 16 rows, medians of three fresh processes: a lone state 22-34 against 43-53
+#: us at n_cut=4 and 57-78 against 47-55 us at 5; a row of a 120-row batch
+#: 17-22 against 11-14 us at 4 and 64-70 against 13-15 us at 5.  At 5 both
+#: favour the grid, so the table stops at 4, where a lone state still favours
+#: the table and a batch the grid.  The route depends on n_cut only, so that
+#: a batched row equals the lone state bit for bit.
 TRIAD_MAX_N_CUT = 4
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 
 from torusmhd.galerkin import ModeBasis
-from torusmhd.lattice import norm_sq
+from torusmhd.lattice import BASIS_NORM, COS, direction, norm_sq
 from torusmhd.malliavin import FrozenPath, _backward_sweep
 
 
@@ -13,6 +13,42 @@ def triad_jacobian(table, cu):
     dim = 2 * table.width
     weights = table.jac_coeff * np.take(cu, table.jac_state)
     return np.bincount(table.jac_cell, weights, dim * dim).reshape(dim, dim)
+
+
+def fft_bilinear(basis: ModeBasis, cu: np.ndarray, cv: np.ndarray) -> np.ndarray:
+    """B(U, V) for states (..., dim) in divergence form from numpy's FFTs alone.
+
+    The fields come from ``irfft2`` of the half spectrum, and coefficient k of
+    the velocity (magnetic) row is sum_dc i q_d omega_c rfft2(T_dc) (of S_dc),
+    with T_dc = u_d u'_c - b_d b'_c, S_dc = u_d b'_c - b_d u'_c and the
+    rectangle-rule projection weight omega_c = (2 pi / m)^2 dir0_c / BASIS_NORM;
+    (Re, Im) of a sum are the (cos, sin) coefficients.
+    """
+    m, n_k = basis.grid, basis.n_k
+    k1, k2 = np.array(basis.canon).T
+    dir0 = np.array([direction(k, COS) for k in basis.canon])          # (n_k, c)
+    edge = k1 == 0
+
+    def fields(c):  # (..., dim) -> (..., slot, component, m, m)
+        amp = np.ascontiguousarray(c).reshape(c.shape[:-1] + (2, n_k, 2)).view(complex)[..., 0]
+        hat = np.zeros(c.shape[:-1] + (2, 2, m, m // 2 + 1), dtype=complex)
+        for comp in range(2):
+            d = dir0[:, comp] / (2.0 * BASIS_NORM)
+            hat[..., comp, k2 % m, k1] = amp * d
+            hat[..., comp, -k2[edge] % m, 0] = np.conj(amp[..., edge]) * d[edge]
+        return np.fft.irfft2(hat, s=(m, m), norm="forward")
+
+    f, g = fields(np.asarray(cu, dtype=float)), fields(np.asarray(cv, dtype=float))
+    u, b, u2, b2 = f[..., 0, :, :, :], f[..., 1, :, :, :], g[..., 0, :, :, :], g[..., 1, :, :, :]
+    flux = np.stack([u[..., :, None, :, :] * u2[..., None, :, :, :]
+                     - b[..., :, None, :, :] * b2[..., None, :, :, :],
+                     u[..., :, None, :, :] * b2[..., None, :, :, :]
+                     - b[..., :, None, :, :] * u2[..., None, :, :, :]], -5)  # (..., s, d, c, m, m)
+    hat = np.fft.rfft2(flux)[..., k2 % m, k1]                             # (..., s, d, c, n_k)
+    omega = (2.0 * np.pi / m) ** 2 / BASIS_NORM * dir0.T                   # (c, n_k)
+    q = np.array([k1, k2])                                                 # (d, n_k)
+    z = (1j * q[:, None, :] * omega[None, :, :] * hat).sum((-3, -2))       # (..., s, n_k)
+    return np.stack([z.real, z.imag], -1).reshape(np.shape(cu))
 
 
 def spectral_divergence(values):

@@ -31,7 +31,7 @@ from torusmhd.galerkin import (
 )
 from torusmhd.lattice import BASIS_NORM, COS, SIN, VELOCITY, MAGNETIC, make_mode, norm_sq
 
-from oracles import embed_coeffs, triad_jacobian
+from oracles import embed_coeffs, fft_bilinear, triad_jacobian
 
 
 def make_params(**kw):
@@ -103,10 +103,12 @@ class TestBasis:
     def test_pruned_passes_equal_full_half_spectrum(self, n_cut, grid):
         # both passes transform only the retained band; numpy's full-spectrum
         # irfft2 and rfft2 are their reference, equal up to roundoff (1e-13 of
-        # the largest reference value).  n_cut=24 has the default grid
-        # 74 = 2 * 37, and grid=20 is not a default grid
+        # the largest reference value).  The analysis sums at the canonical
+        # modes are the real part and minus the imaginary part of rfft2.
+        # n_cut=24 has the default grid 74 = 2 * 37, and grid=20 is not a
+        # default grid
         basis = ModeBasis(n_cut, grid)
-        m, half = basis.grid, basis.grid // 2 + 1
+        m, half, cols = basis.grid, basis.grid // 2 + 1, n_cut + 1
         rng = np.random.default_rng(60 + n_cut)
         c = rng.standard_normal((3, 2 * basis.n_k))
         k1, k2 = basis.kvec[:, 0], basis.kvec[:, 1]
@@ -121,7 +123,12 @@ class TestBasis:
         assert np.max(np.abs(basis.synthesize(c) - want)) <= 1e-13 * np.max(np.abs(want))
         fields = rng.standard_normal((3, 2, m, m))
         want = np.fft.rfft2(fields)[..., k2 % m, k1]
-        assert np.max(np.abs(basis._retained(fields) - want)) <= 1e-13 * np.max(np.abs(want))
+        sums = basis._retained(fields)
+        assert sums.shape == (3, 2, cols, 4 * cols)
+        cos_at = 2 * cols * (k2 < 0) + k1
+        for got, ref in ((sums[..., np.abs(k2), cos_at], want.real),
+                         (sums[..., np.abs(k2), cos_at + cols], -want.imag)):
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(want))
 
 
 class TestDissipation:
@@ -211,6 +218,17 @@ class TestBilinear:
             got = transform_square(basis, c)
             for want in (bilinear_transform(basis, c, c.copy()), bilinear_convolution(basis, c, c)):
                 assert np.max(np.abs(got - want)) <= 1e-12 * max(np.max(np.abs(want)), 1.0)
+
+    @pytest.mark.parametrize("n_cut", range(1, 17))
+    def test_grid_route_matches_numpy_fft_oracle(self, n_cut):
+        # the divergence form from numpy's irfft2 and rfft2 with the weights
+        # i q_d omega_c written out, none of the grid route's tables: pins
+        # every folded sign and weight of both squares' passes, on a batch
+        basis = ModeBasis(n_cut)
+        cu, cv = np.random.default_rng(70 + n_cut).standard_normal((2, 3, basis.dim))
+        for got, want in ((bilinear_transform(basis, cu, cv), fft_bilinear(basis, cu, cv)),
+                          (transform_square(basis, cu), fft_bilinear(basis, cu, cu))):
+            assert np.max(np.abs(got - want)) <= 1e-13 * max(np.max(np.abs(want)), 1.0)
 
     @pytest.mark.parametrize("n_cut", [4, 7, 10])
     def test_grid_square_is_energy_neutral(self, n_cut):
