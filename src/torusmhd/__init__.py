@@ -45,7 +45,6 @@ from .galerkin import (  # noqa: F401
     NoiseSpec,
     SpectralState,
     TrajectoryRecord,
-    bilinear_B,
     energy_balance_residual,
     ensemble,
     simulate,

@@ -430,18 +430,19 @@ def main(argv=None) -> int:
         out.finalize(config_echo)
         return code
     except ConfigError as exc:
-        print(json.dumps({"error": "config", "violations": exc.violations}),
-              file=sys.stderr)
-        return EXIT_CONFIG
+        report = {"error": "config", "violations": exc.violations}
+        code = EXIT_CONFIG
     except SimulationError as exc:
-        print(json.dumps({"error": "blowup", "time": exc.time, "step": exc.step,
-                          "replica": exc.replica, "last_finite_norm": exc.last_norm}),
-              file=sys.stderr)
-        return EXIT_BLOWUP
+        # the norm of a finite state can itself overflow: strict JSON has no inf
+        norm = exc.last_norm if np.isfinite(exc.last_norm) else None
+        report = {"error": "blowup", "time": exc.time, "step": exc.step,
+                  "replica": exc.replica, "last_finite_norm": norm}
+        code = EXIT_BLOWUP
     except Exception as exc:  # stable machine-readable failure surface
-        print(json.dumps({"error": "runtime", "type": type(exc).__name__,
-                          "message": str(exc)}), file=sys.stderr)
-        return EXIT_ERROR
+        report = {"error": "runtime", "type": type(exc).__name__, "message": str(exc)}
+        code = EXIT_ERROR
+    print(json.dumps(report, allow_nan=False), file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

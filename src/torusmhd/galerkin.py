@@ -32,7 +32,10 @@ The quadratic advection term B(U, V) has two independent realizations:
                       aliased images of quadratic products (the 2/3 rule
                       with the boundary case excluded).
 
-The simulator uses the table up to ``TRIAD_MAX_N_CUT`` and the grid above it.
+Each route is called by name, ``bilinear_convolution`` or
+``bilinear_transform``.  The time loop takes its B(U, U) from ``_route``,
+where n_cut alone picks the route: the table up to ``TRIAD_MAX_N_CUT`` and
+the grid above it.
 
 Time stepping is an exponential (integrating-factor) Euler-Maruyama scheme:
 the fractional dissipation factors e^{-|k|^{2a} dt} are applied exactly, the
@@ -418,11 +421,10 @@ def bilinear_transform(basis: ModeBasis, cu: np.ndarray, cv: np.ndarray) -> np.n
 
         T_dc = u_d u'_c - b_d b'_c,    S_dc = u_d b'_c - b_d u'_c.
 
-    ``synthesize`` builds the fields of U and V (only U's when ``cv is cu``),
-    ``_retained`` takes the eight products to their cos and sin sums on the
-    band, and ``_fold`` those to the retained modes, where the derivative and
-    the projection are the weights i q_d dir0_c(q), four real terms per
-    coefficient.
+    ``synthesize`` builds the fields of U and V, ``_retained`` takes the eight
+    products to their cos and sin sums on the band, and ``_fold`` those to the
+    retained modes, where the derivative and the projection are the weights
+    i q_d dir0_c(q), four real terms per coefficient.
     Broadcasts over the leading axes of both arguments, and runs a batch in
     blocks of up to ``SQUARE_BLOCK`` rows, as the squares do.  This is the
     general form, and the oracle of ``transform_square``, which the time loop
@@ -430,19 +432,14 @@ def bilinear_transform(basis: ModeBasis, cu: np.ndarray, cv: np.ndarray) -> np.n
     """
     slots = lambda c: c.reshape(len(c), 2, -1)  # (rows, velocity/magnetic, 2 n_k)
 
-    def pair(u: np.ndarray, v: Optional[np.ndarray] = None) -> np.ndarray:
-        if v is None:
-            f = g = basis.synthesize(slots(u))
-        else:
-            f, g = basis.synthesize(np.stack([slots(u), slots(v)]))
+    def pair(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        f, g = basis.synthesize(np.stack([slots(u), slots(v)]))
         # (rows, s', d, c, m, m): u_d against (u', b')_c minus b_d against (b', u')_c
         flux = f[:, 0, None, :, None, :, :] * g[:, :, None, :, :, :]
         flux -= f[:, 1, None, :, None, :, :] * g[:, ::-1, None, :, :, :]
         sums = basis._retained(flux.reshape((len(u), 8) + flux.shape[-2:]))
         return _fold(sums, *basis._flux_terms)
 
-    if cv is cu:
-        return _in_row_blocks(pair, np.asarray(cu))
     return _in_row_blocks(pair, *np.broadcast_arrays(cu, cv))
 
 
@@ -600,19 +597,16 @@ class TriadTable:
         self.sq_coeff = 0.5 * np.bincount(inverse.ravel(), self.jac_coeff, len(keys))
         self.sq_starts = np.searchsorted(row, np.arange(dim))
 
-    def square(self, cu: np.ndarray) -> np.ndarray:
-        """B(U, U) for a state (dim,) or a batch (..., dim): gathers and one
-        ``reduceat`` per block of rows."""
-        return self.squarer()(cu)
-
     def squarer(self):
-        """``square`` as a function that keeps its two gather buffers between calls.
+        """B(U, U) for a state (dim,) or a batch (..., dim), as a function: two
+        gathers and one ``reduceat`` per block of rows.
 
-        The buffers hold the largest block of rows seen so far and are filled
-        in place by ``np.take(..., out=..., mode="clip")``, so a time loop that
-        binds one squarer per run allocates them once: allocated per call,
-        the (16, 4704) blocks at n_cut = 4 are, in a fresh process, handed
-        back to the system and faulted in again at every step.
+        The function keeps its two gather buffers between calls.  They hold
+        the largest block of rows seen so far and are filled in place by
+        ``np.take(..., out=..., mode="clip")``, so a time loop that binds one
+        squarer per run allocates them once: allocated per call, the (16,
+        4704) blocks at n_cut = 4 are, in a fresh process, handed back to the
+        system and faulted in again at every step.
         """
         buffers = np.empty((2, 0, self.sq_coeff.size))
 
@@ -652,28 +646,17 @@ def bilinear_convolution(basis: ModeBasis, cu: np.ndarray, cv: np.ndarray) -> np
     return triad_table(basis.n_cut).apply(cu, cv)
 
 
-def _route(basis: ModeBasis, path: Optional[str] = None):
-    """(B(U, V), B(U, U)) as functions: the named route, or the faster one at this n_cut.
+def _route(basis: ModeBasis):
+    """The time loop's B(U, U) as a function, chosen from n_cut alone.
 
-    The grid route's B(U, U) is ``transform_square``, not ``bilinear_transform``
-    on (U, U); the triad route's is a ``TriadTable.squarer`` of its own, whose
-    gather buffers live as long as the run that bound it.  Both names are
+    Up to ``TRIAD_MAX_N_CUT`` it is a ``TriadTable.squarer`` of its own, whose
+    gather buffers live as long as the run that bound it; above, it is
+    ``transform_square``, not ``bilinear_transform`` on (U, U).  That name is
     looked up each time this runs, so a run started after a wrapper is
-    installed on either binds the wrapper."""
-    if path is None:
-        path = "convolution" if basis.n_cut <= TRIAD_MAX_N_CUT else "transform"
-    if path == "transform":
-        return partial(bilinear_transform, basis), partial(transform_square, basis)
-    if path == "convolution":
-        table = triad_table(basis.n_cut)
-        return table.apply, table.squarer()
-    raise ValueError(f"unknown bilinear path {path!r}")
-
-
-def bilinear_B(basis: ModeBasis, cu: np.ndarray, cv: np.ndarray,
-               path: Optional[str] = None) -> np.ndarray:
-    """B(U, V) by the named route, or by the faster one for this truncation."""
-    return _route(basis, path)[0](cu, cv)
+    installed on it binds the wrapper."""
+    if basis.n_cut <= TRIAD_MAX_N_CUT:
+        return triad_table(basis.n_cut).squarer()
+    return partial(transform_square, basis)
 
 
 # ---------------------------------------------------------------------------
@@ -751,7 +734,7 @@ def _integrate(basis: ModeBasis, coeffs: np.ndarray, t0: float,
     decay = np.tile(np.exp(-lam * dt), (n_rows, 1)).reshape(shape)
     # flat indices of every row's forced entries, in the row-major order of a kick
     forced = (np.arange(n_rows)[:, None] * basis.dim + idx).ravel()
-    square = _route(basis)[1] if params.nonlinearity_enabled else None
+    square = _route(basis) if params.nonlinearity_enabled else None
     steps = max(1, min(n_steps, STEP_BLOCK // max(1, coeffs.size) - 1))
     block = np.empty((steps + 1,) + shape)
     kicks = np.full((steps,) + shape, -0.0)

@@ -26,7 +26,8 @@ from torusmhd.galerkin import (
     ModeBasis,
     NoiseSpec,
     SpectralState,
-    bilinear_B,
+    bilinear_convolution,
+    bilinear_transform,
     energy_balance_residual,
     simulate,
     unit_mode_state,
@@ -118,18 +119,18 @@ def test_criterion_3_simulator_exactness():
     rng = np.random.default_rng(1)
     cu = rng.standard_normal(basis8.dim)
     cv = rng.standard_normal(basis8.dim)
-    bt = bilinear_B(basis8, cu, cv, "transform")
-    bc = bilinear_B(basis8, cu, cv, "convolution")
+    bt = bilinear_transform(basis8, cu, cv)
+    bc = bilinear_convolution(basis8, cu, cv)
     assert np.max(np.abs(bt - bc)) < 1e-10
 
     # advection is energy-neutral on random unit states, both routes
     for _ in range(3):
         c = rng.standard_normal(basis8.dim)
         c /= np.linalg.norm(c)
-        assert abs(bilinear_B(basis8, c, c, "transform") @ c) < 1e-10
+        assert abs(bilinear_transform(basis8, c, c) @ c) < 1e-10
     c = rng.standard_normal(basis.dim)
     c /= np.linalg.norm(c)
-    assert abs(bilinear_B(basis, c, c, "convolution") @ c) < 1e-10
+    assert abs(bilinear_convolution(basis, c, c) @ c) < 1e-10
 
     # discrete energy identity residual halves on a refined common path
     noise = NoiseSpec.uniform(EXAMPLE_Z0, 1.0)

@@ -432,6 +432,23 @@ class TestCli:
         assert err["last_finite_norm"] == pytest.approx(1e200 * 2**0.5)
         assert not (tmp_path / "clt").exists()
 
+    def test_blowup_report_is_strict_json(self, tmp_path, capsys):
+        # the last finite state's norm overflows: it is reported as null
+        doc = small_config()
+        doc["analysis"] = {"initial_state": [
+            {"slot": "velocity", "k": k, "amplitude": 1.5e308} for k in ([0, 1], [1, 0], [1, 1])]}
+        with np.errstate(all="ignore"):
+            code = main(["simulate", "--config", write_config(tmp_path, doc),
+                         "--out", str(tmp_path / "sim")])
+        assert code == 3
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        err = json.loads(capsys.readouterr().err, parse_constant=reject)
+        assert err["error"] == "blowup" and err["step"] == 1
+        assert err["last_finite_norm"] is None
+
     def test_override_flag(self, tmp_path):
         cfg = write_config(tmp_path, small_config())
         out = tmp_path / "o"

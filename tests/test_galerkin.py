@@ -1,6 +1,7 @@
 """Integrator exactness, bilinear form equivalence, and the energy identity."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from torusmhd.galerkin import (
     SimulationError,
     SpectralState,
     TRIAD_MAX_N_CUT,
-    bilinear_B,
     bilinear_convolution,
     bilinear_transform,
     default_grid,
@@ -150,8 +150,8 @@ class TestBilinear:
     def test_single_mode_self_advection_zero(self):
         basis = ModeBasis(3)
         u = unit_mode_state(basis, make_mode(VELOCITY, (1, 2), COS))
-        for path in ("transform", "convolution"):
-            assert np.max(np.abs(bilinear_B(basis, u.coeffs, u.coeffs, path))) < 1e-14
+        for route in (bilinear_transform, bilinear_convolution):
+            assert np.max(np.abs(route(basis, u.coeffs, u.coeffs))) < 1e-14
 
     def test_unidirectional_magnetic_field_is_steady(self):
         # b depending on x2 only and pointing along x1 self-advects to zero
@@ -162,7 +162,7 @@ class TestBilinear:
             for parity in (COS, SIN):
                 idx = basis.mode_index(make_mode(MAGNETIC, (0, k2), parity))
                 s.coeffs[idx] = rng.standard_normal()
-        assert np.max(np.abs(bilinear_B(basis, s.coeffs, s.coeffs))) < 1e-14
+        assert np.max(np.abs(bilinear_convolution(basis, s.coeffs, s.coeffs))) < 1e-14
 
     def test_paths_agree_on_random_states(self):
         basis = ModeBasis(4)
@@ -170,22 +170,29 @@ class TestBilinear:
         for _ in range(3):
             cu = rng.standard_normal(basis.dim)
             cv = rng.standard_normal(basis.dim)
-            bt = bilinear_B(basis, cu, cv, "transform")
-            bc = bilinear_B(basis, cu, cv, "convolution")
+            bt = bilinear_transform(basis, cu, cv)
+            bc = bilinear_convolution(basis, cu, cv)
             assert np.max(np.abs(bt - bc)) < 1e-10
 
-    def test_selected_route_matches_grid_route(self):
-        # the simulator's route switches at TRIAD_MAX_N_CUT; on both sides it
-        # must agree with the grid route, and it must be the faster route
-        rng = np.random.default_rng(5)
-        for n_cut, route in ((TRIAD_MAX_N_CUT, bilinear_convolution),
-                             (TRIAD_MAX_N_CUT + 1, bilinear_transform)):
-            basis = ModeBasis(n_cut)
-            cu = rng.standard_normal((2, basis.dim))
-            cv = rng.standard_normal(basis.dim)
-            got = bilinear_B(basis, cu, cv)
-            assert np.array_equal(got, route(basis, cu, cv))
-            assert np.max(np.abs(got - bilinear_transform(basis, cu, cv))) < 1e-10
+    @pytest.mark.parametrize("n_cut, named", [
+        pytest.param(TRIAD_MAX_N_CUT, lambda basis: triad_table(basis.n_cut).squarer(),
+                     id="table"),
+        pytest.param(TRIAD_MAX_N_CUT + 1, lambda basis: partial(transform_square, basis),
+                     id="grid"),
+    ])
+    def test_route_is_the_named_square(self, n_cut, named):
+        # the time loop's B(U, U) switches at TRIAD_MAX_N_CUT: on both sides it
+        # is the named square bit for bit and agrees with the triads, on a
+        # lone state and on a 37-row batch, whose blocks of 16 end in a
+        # partial one
+        basis = ModeBasis(n_cut)
+        square = named(basis)
+        lone, *batch = np.random.default_rng(5 + n_cut).standard_normal((38, basis.dim))
+        for c in (lone, np.array(batch)):
+            got = galerkin._route(basis)(c)
+            assert np.array_equal(got, square(c))
+            want = bilinear_convolution(basis, c, c)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("axis", [0, 1])
     def test_edge_supported_states_match_triads(self, axis):
@@ -237,19 +244,6 @@ class TestBilinear:
         norm = np.linalg.norm(c)
         assert abs(transform_square(basis, c) @ c) <= 1e-12 * max(norm**3, 1.0)
 
-    def test_grid_route_binds_the_grid_square(self):
-        basis = ModeBasis(TRIAD_MAX_N_CUT + 1)
-        c = np.random.default_rng(9).standard_normal((3, basis.dim))
-        assert np.array_equal(galerkin._route(basis)[1](c), transform_square(basis, c))
-        assert np.array_equal(galerkin._route(basis, "transform")[1](c), transform_square(basis, c))
-
-    def test_shared_fields_change_no_bit(self):
-        # with cv is cu the fields of V are not built again
-        basis = ModeBasis(9)
-        c = np.random.default_rng(7).standard_normal(basis.dim)
-        assert np.array_equal(bilinear_transform(basis, c, c),
-                              bilinear_transform(basis, c, c.copy()))
-
     @pytest.mark.parametrize("n_cut", [5, 9, 10, 12, 16])
     def test_grid_route_batched_rows_equal_lone_calls(self, n_cut):
         # 5 rows, and 120 rows: the ensemble size of ``clt`` and ``mix``
@@ -283,7 +277,7 @@ class TestBilinear:
             want = table.apply(c, c)
             assert np.max(np.abs(square(c) - want)) <= 1e-14 * np.max(np.abs(want))
         assert all(np.array_equal(row, square(c)) for row, c in zip(square(batch), batch))
-        assert np.array_equal(table.square(batch), square(batch))
+        assert np.array_equal(table.squarer()(batch), square(batch))
 
     def test_merged_jacobian_matches_unmerged_triads(self):
         # apply sums the unmerged triads, so its rows L e_j = B(U, e_j) + B(e_j, U)
@@ -309,8 +303,8 @@ class TestBilinear:
         basis = ModeBasis(4)
         rng = np.random.default_rng(4)
         c = rng.standard_normal(basis.dim)
-        for path in ("transform", "convolution"):
-            b = bilinear_B(basis, c, c, path)
+        for route in (bilinear_transform, bilinear_convolution):
+            b = route(basis, c, c)
             assert abs(b @ c) < 1e-10 * float(c @ c)
 
 
