@@ -4,13 +4,17 @@ Every run writes its artifacts (CSV time series, JSON reports) plus one
 ``manifest.json`` that echoes the full configuration, the tool version, wall
 times, and a SHA-256 digest of every emitted file.  Data artifacts are byte
 deterministic given (config, seed) and independent of ``--workers``;
-the manifest's wall times are the only run-specific metadata.
+the manifest's wall times are the only run-specific metadata.  Up to n_cut
+5, ``malliavin`` sweeps each path on one BLAS thread, so there its artifacts
+do not depend on the machine's thread count either; its paths run one after
+another.
 
 ``main`` hands each subcommand one :class:`OutputDir`, which makes the
 ``--out`` directory on its first write: a run that ends before it has
 anything to write (exit 2 on bad input, exit 3 on a blow-up) leaves no
-directory behind.  A subcommand only computes and writes; it returns the
-config echo of its manifest and its exit code, and ``main`` finalizes.
+directory behind.  A subcommand only computes and writes (``cmd_malliavin``
+writes what ``malliavin_paths`` yields, path by path); it returns the config
+echo of its manifest and its exit code, and ``main`` finalizes.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ from .diagnostics import (
     PATH_STREAM,
     Observable,
     clt_sample,
-    cone_seed,
     exp_moment_ensemble,
     mixing_decay_estimate,
     time_average,
@@ -46,12 +49,7 @@ from .galerkin import (
     zero_state,
 )
 from .lattice import MAGNETIC, make_mode
-from .malliavin import (
-    ConeSpec,
-    FrozenPath,
-    assemble_malliavin,
-    cone_infimum,
-)
+from .malliavin import ConeSpec, malliavin_paths
 from .reachability import ForcedSet, check_hypothesis, generation_certificate
 
 EXIT_OK = 0
@@ -192,7 +190,7 @@ def cmd_bracket(args, out: OutputDir) -> tuple[dict, int]:
     }
     out.write_json("bracket_verify.json",
                    {"summary": summary, "reports": [r.to_dict() for r in reports]})
-    print(json.dumps(summary, sort_keys=True))
+    print(json.dumps(summary, sort_keys=True, allow_nan=False))
     return {"kmax": args.kmax}, EXIT_OK if summary["all_selection_ok"] else EXIT_ERROR
 
 
@@ -232,7 +230,7 @@ def cmd_reach(args, out: OutputDir) -> tuple[dict, int]:
                 certs.append(cert.to_dict())
         payload["certificates"] = certs
     out.write_json("reach_report.json", payload)
-    print(json.dumps(report.to_dict(), sort_keys=True))
+    print(json.dumps(report.to_dict(), sort_keys=True, allow_nan=False))
     return {"z0": args.z0, "radius": args.radius, "max_depth": args.max_depth}, EXIT_OK
 
 
@@ -268,24 +266,17 @@ def cmd_malliavin(cfg: ExperimentConfig, basis: ModeBasis, out: OutputDir) -> No
     if analysis.profile_modes:
         probes = np.array([unit_mode_state(basis, m).coeffs for m in analysis.profile_modes])
 
-    per_path = []
-    spectra = []
+    per_path, spectra = [], []
     diag = profiles = None
-    for p in range(analysis.paths):
-        rec = simulate(u0, cfg.equation, cfg.noise, cfg.run.horizon,
-                       trajectory_seed(cfg.run.seed, p), snapshot_stride=1)
-        # path 0 carries the profile probes through the same backward sweep
-        mat = assemble_malliavin(FrozenPath(rec), cfg.noise, n_level=analysis.basis_level,
-                                 probes=probes if p == 0 else None)
-        report = cone_infimum(mat, cone, samples=analysis.cone_samples,
-                              seed=cone_seed(cfg.run.seed, p))
-        eigs = mat.eigenvalues()
-        spectra.append(eigs.tolist())
+    for p, probe in enumerate(malliavin_paths(
+            u0, cfg.equation, cfg.noise, cfg.run.horizon, cfg.run.seed, analysis.paths, cone,
+            samples=analysis.cone_samples, n_level=analysis.basis_level, probes=probes)):
+        per_path.append(probe.cone.to_dict())
+        spectra.append(probe.eigenvalues.tolist())
         if p == 0:
-            times = rec.times
-            profiles = mat.probe_profiles
+            mat = probe.matrix
+            times, profiles = probe.record.times, mat.probe_profiles
             diag = {m.label(): float(v) for m, v in zip(mat.modes, np.diag(mat.gram))}
-        per_path.append(report.to_dict())
     out.write_json("malliavin_report.json", {
         "cone": {"alpha": cone.alpha, "n": cone.n, "samples": analysis.cone_samples},
         "paths": analysis.paths,

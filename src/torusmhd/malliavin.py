@@ -30,24 +30,38 @@ of states holding at least an alpha fraction of their norm in the low-mode
 block: the compressed minimal eigenvalue, a sampled infimum over the cone,
 and a weak-duality lower bound; the exact constrained minimum is a nonconvex
 problem we deliberately do not claim to solve.
+
+``malliavin_paths`` runs the probe over many noise paths.  It steps them
+forward as one ``ensemble``, whose rows equal the lone paths bit for bit,
+then sweeps and probes each path on its own, in path order.  Up to
+``ONE_THREAD_MAX_N_CUT`` the sweep, the cone and the eigenvalues run with
+every loaded OpenBLAS on one thread: at those sizes a second thread buys no
+wall time for twice the CPU, and the results no longer depend on the
+machine's thread count.  The paths themselves run one after another.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
-from .diagnostics import _seed_repr
+from .diagnostics import _seed_repr, cone_seed
 from .galerkin import (
     EquationParams,
     ModeBasis,
     NoiseSpec,
     SpectralState,
     TrajectoryRecord,
+    _step_count,
     bilinear_convolution,
+    ensemble,
+    trajectory_seed,
     triad_table,
 )
 from .lattice import COS, MAGNETIC, SIN, VELOCITY, Mode, is_canonical, make_mode, norm_sq
@@ -323,6 +337,128 @@ def cone_infimum(matrix: MalliavinMatrix, cone: ConeSpec, samples: int = 200,
     best = max(float(np.linalg.eigvalsh(g)[0]), f_left, f_right)
     return ConeReport(compressed_min_eig=compressed, sampled_inf=sampled,
                       dual_lower_bound=best, samples=samples, seed=seed)
+
+
+# ---------------------------------------------------------------------------
+# The probe over many paths, each on one BLAS thread.
+# ---------------------------------------------------------------------------
+
+#: Largest n_cut whose paths are swept and probed on one BLAS thread.  On a
+#: 2-vCPU x86 VM with OpenBLAS 0.3.31, two threads take twice the wall time
+#: in CPU at every n_cut, and one thread takes CPU equal to wall.  Wall time
+#: of one path's assembly and cone, one thread against two, medians of 12
+#: alternating runs in one process: n_cut = 4 (dim 96, 1,000 steps) 88
+#: against 85 ms, n_cut = 5 (dim 160, 200 steps) 79 against 83 ms, n_cut = 6
+#: (dim 224) 169 against 155 ms and n_cut = 8 (dim 392) 699 against 580 ms.
+#: In fresh processes at n_cut = 4, the assembly took 72-78 ms of wall on one
+#: thread against 77-142 ms on two.
+ONE_THREAD_MAX_N_CUT = 5
+
+#: The thread-count getter of an OpenBLAS build, by its symbol prefix
+#: (scipy's wheels prefix ``scipy_``) and suffix (``64_`` on 64-bit integers).
+_OPENBLAS_GETTERS = tuple(f"{prefix}openblas_get_num_threads{suffix}"
+                          for prefix in ("", "scipy_") for suffix in ("", "64_"))
+
+
+@lru_cache(maxsize=None)
+def _openblas_controls(path: str):
+    """(get, set) of the thread count of the OpenBLAS at ``path``, or None."""
+    try:
+        lib = ctypes.CDLL(path)
+    except OSError:
+        return None
+    for name in _OPENBLAS_GETTERS:
+        if hasattr(lib, name):
+            get, set_ = getattr(lib, name), getattr(lib, name.replace("_get_", "_set_"))
+            get.restype, get.argtypes = ctypes.c_int, []
+            set_.restype, set_.argtypes = None, [ctypes.c_int]
+            return get, set_
+    return None
+
+
+def loaded_openblas() -> list:
+    """(get, set) thread-count controls of every OpenBLAS the process has loaded.
+
+    The loaded libraries are read from ``/proc/self/maps``; where that does
+    not exist, or no OpenBLAS is among them, the list is empty.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8", errors="replace") as fh:
+            fields = [line.split(maxsplit=5) for line in fh]
+        paths = {f[5].strip() for f in fields if len(f) == 6 and "openblas" in f[5].lower()}
+    except OSError:
+        return []
+    return [c for c in map(_openblas_controls, sorted(paths)) if c is not None]
+
+
+@contextlib.contextmanager
+def one_blas_thread(n_cut: int):
+    """Run the body with every loaded OpenBLAS on one thread, when n_cut is at
+    most ``ONE_THREAD_MAX_N_CUT``; put the previous counts back on exit."""
+    saved = []
+    if n_cut <= ONE_THREAD_MAX_N_CUT:
+        saved = [(set_, get()) for get, set_ in loaded_openblas()]
+    for set_, _ in saved:
+        set_(1)
+    try:
+        yield
+    finally:
+        for set_, count in saved:
+            set_(count)
+
+
+#: Bytes of stride-1 records that one forward ensemble of paths may hold, so
+#: the 10 paths of config.example.json (n_cut = 4, 1,001 snapshots, 7.7 MB)
+#: step forward as one group.
+PATH_GROUP_BYTES = 1 << 24
+
+
+@dataclass
+class PathProbe:
+    """One Malliavin path: its record, its Gram matrix, cone statistics and spectrum."""
+
+    record: TrajectoryRecord
+    matrix: MalliavinMatrix
+    cone: ConeReport
+    eigenvalues: np.ndarray
+
+
+def malliavin_paths(u0: SpectralState, params: EquationParams, noise: NoiseSpec,
+                    horizon: float, seed, paths: int, cone: ConeSpec, samples: int = 200,
+                    n_level: Optional[int] = None, probes: Optional[np.ndarray] = None):
+    """Yield the :class:`PathProbe` of paths 0..paths-1, in path order.
+
+    Path p runs on stream ``trajectory_seed(seed, p)`` and samples its cone on
+    ``cone_seed(seed, p)``; path 0 carries the ``probes`` rows through its
+    sweep.  The paths step forward as one ``ensemble`` per group of paths whose
+    stride-1 records fit in ``PATH_GROUP_BYTES``, so each record equals the
+    lone ``simulate`` of its stream bit for bit, and a blow-up names its
+    stream.  Each path is then swept and probed on its own inside
+    :func:`one_blas_thread`: batching the sweep across paths is slower, as it
+    is bound by its dim^3 flops per step.
+    """
+    basis = u0.basis
+    n_steps = _step_count(horizon, params.dt, 1)
+    group = max(1, PATH_GROUP_BYTES // ((n_steps + 1) * basis.dim * 8))
+    for first in range(0, paths, group):
+        streams = range(first, min(paths, first + group))
+        states = np.empty((len(streams), n_steps + 1, basis.dim))
+        times, row = np.empty(n_steps + 1), 0
+        for t, chunk in ensemble(u0, params, noise, horizon, seed, streams):
+            times[row:row + len(t)] = t
+            states[:, row:row + len(t)] = chunk.transpose(1, 0, 2)
+            row += len(t)
+        for p, path_states in zip(streams, states):
+            record = TrajectoryRecord(basis=basis, params=params, noise=noise,
+                                      seed=trajectory_seed(seed, p), dt=params.dt,
+                                      n_steps=n_steps, snapshot_stride=1, times=times,
+                                      states=path_states)
+            with one_blas_thread(basis.n_cut):
+                matrix = assemble_malliavin(FrozenPath(record), noise, n_level=n_level,
+                                            probes=probes if p == 0 else None)
+                report = cone_infimum(matrix, cone, samples=samples, seed=cone_seed(seed, p))
+                eigenvalues = matrix.eigenvalues()
+            yield PathProbe(record, matrix, report, eigenvalues)
 
 
 def unstable_quadratic_form(state: SpectralState, forced: ForcedSet, depth: int) -> float:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from torusmhd import cli, config
+from torusmhd import cli, config, malliavin
 from torusmhd.cli import main
 from torusmhd.config import (
     ConfigError,
@@ -20,7 +20,7 @@ from torusmhd.config import (
     validate_config,
 )
 from torusmhd.diagnostics import PATH_STREAM, PILOT_STREAM, Observable
-from torusmhd.galerkin import NoiseSpec, SpectralState, trajectory_seed
+from torusmhd.galerkin import ModeBasis, NoiseSpec, SpectralState, trajectory_seed
 from torusmhd.lattice import COS, MAGNETIC, SIN, make_mode
 
 
@@ -372,18 +372,53 @@ class TestCli:
         assert entry["dual_lower_bound"] <= entry["sampled_inf"] + 1e-12
         assert (out / "response_profiles.csv").exists()
 
-    def test_malliavin_simulates_each_path_once(self, tmp_path, monkeypatch):
-        real, seeds = cli.simulate, []
-        monkeypatch.setattr(cli, "simulate",
-                            lambda *a, **kw: seeds.append(a[4]) or real(*a, **kw))
+    def test_malliavin_draws_each_path_stream_once(self, tmp_path, monkeypatch):
+        real, seeds = malliavin.ensemble, []
+        monkeypatch.setattr(malliavin, "ensemble", lambda *a, **kw: seeds.extend(
+            trajectory_seed(a[4], i) for i in a[5]) or real(*a, **kw))
+        # two 21-snapshot records fit in a group of paths: the third runs in a second one
+        monkeypatch.setattr(malliavin, "PATH_GROUP_BYTES", 2 * 21 * ModeBasis(3).dim * 8)
         doc = small_config(horizon=0.02)
-        doc["analysis"] = {"paths": 2, "cone_samples": 5,
+        doc["analysis"] = {"paths": 3, "cone_samples": 5,
                            "profile_modes": [{"slot": "magnetic", "k": [0, 1]}]}
         out = tmp_path / "mal"
         assert main(["malliavin", "--config", write_config(tmp_path, doc),
                      "--out", str(out)]) == 0
-        assert seeds == [(5, 0), (5, 1)]
+        assert seeds == [(5, 0), (5, 1), (5, 2)]
         assert (out / "response_profiles.csv").exists()
+
+    def test_malliavin_blowup_names_the_path(self, tmp_path, capsys):
+        doc = small_config(horizon=5.0)
+        doc["equation"]["dt"] = 1.0
+        doc["analysis"] = {"paths": 2, "initial_state": [
+            {"slot": "velocity", "k": [0, 1], "amplitude": 1e200},
+            {"slot": "velocity", "k": [1, 0], "amplitude": 1e200}]}
+        with np.errstate(all="ignore"):
+            code = main(["malliavin", "--config", write_config(tmp_path, doc),
+                         "--out", str(tmp_path / "mal")])
+        assert code == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "blowup"
+        # both paths overflow in step 1; the report names the first, stream 0
+        assert (err["step"], err["replica"]) == (1, 0)
+        assert not (tmp_path / "mal").exists()
+
+    @pytest.mark.parametrize("edit, exit_code", [
+        ({}, 0),
+        ({"paths": -1}, 2),
+        ({"initial_state": [{"slot": "velocity", "k": [0, 1], "amplitude": 1e200},
+                            {"slot": "velocity", "k": [1, 0], "amplitude": 1e200}]}, 3),
+    ])
+    def test_malliavin_puts_the_blas_threads_back(self, tmp_path, capsys, edit, exit_code,
+                                                  two_blas_threads):
+        doc = small_config(horizon=0.02)
+        doc["equation"]["dt"] = 0.01
+        doc["analysis"] = {"paths": 2, "cone_samples": 5, **edit}
+        with np.errstate(all="ignore"):
+            code = main(["malliavin", "--config", write_config(tmp_path, doc),
+                         "--out", str(tmp_path / "mal")])
+        assert code == exit_code
+        assert all(get() == 2 for get, _ in two_blas_threads)
 
     @pytest.mark.parametrize("command", ["simulate", "lln"])
     def test_single_path_is_not_stream_zero(self, tmp_path, monkeypatch, command):
@@ -431,6 +466,18 @@ class TestCli:
         assert (err["time"], err["step"], err["replica"]) == (1.0, 1, PILOT_STREAM)
         assert err["last_finite_norm"] == pytest.approx(1e200 * 2**0.5)
         assert not (tmp_path / "clt").exists()
+
+    def test_stdout_reports_are_strict_json(self, tmp_path, capsys):
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        assert main(["bracket", "verify", "--kmax", "1", "--out", str(tmp_path / "b")]) == 0
+        summary = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert summary["all_selection_ok"]
+        assert main(["reach", "--z0", "0,1;1,1;1,0;1,2", "--radius", "4",
+                     "--out", str(tmp_path / "r")]) == 0
+        report = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert report == json.loads((tmp_path / "r" / "reach_report.json").read_text())["report"]
 
     def test_blowup_report_is_strict_json(self, tmp_path, capsys):
         # the last finite state's norm overflows: it is reported as null

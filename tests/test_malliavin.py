@@ -15,6 +15,7 @@ from torusmhd.galerkin import (
     EquationParams,
     ModeBasis,
     NoiseSpec,
+    SimulationError,
     SpectralState,
     bilinear_transform,
     simulate,
@@ -24,7 +25,10 @@ from torusmhd.galerkin import (
     zero_state,
 )
 from torusmhd.lattice import COS, SIN, VELOCITY, MAGNETIC, make_mode, norm_sq
+from torusmhd import malliavin
+from torusmhd.diagnostics import cone_seed
 from torusmhd.malliavin import (
+    ONE_THREAD_MAX_N_CUT,
     ConeSpec,
     FrozenPath,
     MalliavinMatrix,
@@ -32,6 +36,9 @@ from torusmhd.malliavin import (
     assemble_malliavin,
     cone_infimum,
     jacobian_apply,
+    loaded_openblas,
+    malliavin_paths,
+    one_blas_thread,
     sample_cone_state,
     second_variation_apply,
     unstable_quadratic_form,
@@ -415,6 +422,82 @@ class TestConeInfimum:
             ConeSpec(alpha=0.0, n=1)
         with pytest.raises(ValueError):
             ConeSpec(alpha=1.2, n=1)
+
+
+class TestPathProbes:
+    """``malliavin_paths`` against the loop of lone paths it replaced."""
+
+    @staticmethod
+    def lone_paths(u0, params, noise, horizon, seed, paths, cone, samples, probes):
+        for p in range(paths):
+            rec = simulate(u0, params, noise, horizon, trajectory_seed(seed, p),
+                           snapshot_stride=1)
+            mat = assemble_malliavin(FrozenPath(rec), noise,
+                                     probes=probes if p == 0 else None)
+            report = cone_infimum(mat, cone, samples=samples, seed=cone_seed(seed, p))
+            yield rec, mat, report, mat.eigenvalues()
+
+    @pytest.mark.parametrize("n_cut", [3, 4])
+    @pytest.mark.parametrize("groups", [1, 2])
+    def test_equals_lone_paths_bit_for_bit(self, n_cut, groups, monkeypatch):
+        basis = ModeBasis(n_cut)
+        params = EquationParams(alpha=1.5, beta=1.5, n_cut=n_cut, dt=1e-3)
+        noise = NoiseSpec.uniform(EXAMPLE_Z0, 1.0)
+        rng = np.random.default_rng(n_cut)
+        u0 = SpectralState(basis, 0.4 * rng.standard_normal(basis.dim))
+        probes = rng.standard_normal((2, basis.dim))
+        horizon, cone = 0.1, ConeSpec(alpha=0.5, n=1)
+        if groups == 2:  # two 101-snapshot records fit in a group, the third runs alone
+            monkeypatch.setattr(malliavin, "PATH_GROUP_BYTES", 2 * 101 * basis.dim * 8)
+        real, batches = malliavin.ensemble, []
+        monkeypatch.setattr(malliavin, "ensemble",
+                            lambda *a, **kw: batches.append(list(a[5])) or real(*a, **kw))
+        got = list(malliavin_paths(u0, params, noise, horizon, 7, 3, cone, samples=20,
+                                   probes=probes))
+        assert batches == ([[0, 1, 2]] if groups == 1 else [[0, 1], [2]])
+        want = list(self.lone_paths(u0, params, noise, horizon, 7, 3, cone, 20, probes))
+        assert len(got) == len(want) == 3
+        for p, (probe, (rec, mat, report, eigs)) in enumerate(zip(got, want)):
+            assert probe.record.seed == rec.seed
+            assert np.array_equal(probe.record.times, rec.times)
+            assert np.array_equal(probe.record.states, rec.states)
+            assert np.array_equal(probe.matrix.gram, mat.gram)
+            if p == 0:
+                assert np.array_equal(probe.matrix.probe_profiles, mat.probe_profiles)
+            else:
+                assert probe.matrix.probe_profiles is None
+            assert probe.cone.to_dict() == report.to_dict()
+            assert np.array_equal(probe.eigenvalues, eigs)
+
+
+class TestOneBlasThread:
+    def test_one_thread_inside_and_counts_back_after(self, two_blas_threads):
+        with one_blas_thread(ONE_THREAD_MAX_N_CUT):
+            assert [get() for get, _ in two_blas_threads] == [1] * len(two_blas_threads)
+        assert [get() for get, _ in two_blas_threads] == [2] * len(two_blas_threads)
+
+    def test_counts_back_after_a_blowup(self, two_blas_threads):
+        with pytest.raises(SimulationError):
+            with one_blas_thread(3):
+                assert all(get() == 1 for get, _ in two_blas_threads)
+                raise SimulationError(1.0, 1, 0, 1.0)
+        assert all(get() == 2 for get, _ in two_blas_threads)
+
+    def test_leaves_the_count_above_the_constant(self, two_blas_threads):
+        with one_blas_thread(ONE_THREAD_MAX_N_CUT + 1):
+            assert all(get() == 2 for get, _ in two_blas_threads)
+
+    def test_does_nothing_without_a_library(self, two_blas_threads, monkeypatch):
+        monkeypatch.setattr(malliavin, "loaded_openblas", lambda: [])
+        with one_blas_thread(3):
+            assert all(get() == 2 for get, _ in two_blas_threads)
+        assert all(get() == 2 for get, _ in two_blas_threads)
+
+    def test_finds_the_library_numpy_multiplies_with(self):
+        config = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        if "openblas" not in config["name"].lower():
+            pytest.skip(f"numpy is built against {config['name']}")
+        assert loaded_openblas()
 
 
 class TestUnstableQuadraticForm:
