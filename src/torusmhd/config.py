@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Any, Optional
 
 from .diagnostics import OBSERVABLE_KINDS, Observable
-from .galerkin import EquationParams, NoiseSpec, snapshot_steps
+from .galerkin import SEED_BOUND, EquationParams, NoiseSpec, snapshot_steps
 from .lattice import COS, SIN, SLOT_NAMES, Mode, is_canonical, make_mode, norm_sq
 
 
@@ -105,8 +105,9 @@ _EQUATION = {
 
 _RUN = {
     "T": (lambda v: _is_number(v) and v > 0, "be a positive finite number", _REQUIRED),
-    "seed": (lambda v: _is_int(v) and v >= 0,
-             "be a non-negative integer; stochastic runs have no wall-clock default", _REQUIRED),
+    "seed": (lambda v: _is_int(v) and 0 <= v < SEED_BOUND,
+             "be an integer in [0, 2**32); stochastic runs have no wall-clock default",
+             _REQUIRED),
     "snapshot_stride": (lambda v: _is_int(v) and v >= 1, "be a positive integer", 1),
     "ensemble_size": (lambda v: _is_int(v) and v >= 1, "be a positive integer", 1),
     # validated for compatibility; nothing reads it

@@ -10,11 +10,10 @@ independent stream per trajectory from (seed, index), so estimates are
 reproducible bit-for-bit.
 
 Replica ensembles step all their trajectories in one time loop
-(``galerkin.ensemble``) and reduce each chunk of snapshots it hands out to
-the observable values they need, so no ensemble holds its trajectories'
-states.
-Each replica's values equal those of a lone ``simulate`` on its stream, so
-the batching changes no result.
+(``galerkin.ensemble``), which reduces the snapshots of each block of steps
+to the observable values they need, so no ensemble holds its trajectories'
+states.  Each replica's values equal those of a lone ``simulate`` on its
+stream, so the batching changes no result.
 
 In the linear regime (nonlinearity disabled) every forced mode is an exactly
 discretized Ornstein-Uhlenbeck process, which supplies closed-form oracles:
@@ -32,6 +31,7 @@ import numpy as np
 from scipy import stats
 
 from .galerkin import (
+    SEED_BOUND,
     EquationParams,
     ModeBasis,
     NoiseSpec,
@@ -123,31 +123,17 @@ PATH_STREAM = 1_000_000_009
 CONE_STREAM = 1
 
 
-def _replica_series(u0: SpectralState, params: EquationParams, noise: NoiseSpec,
-                    horizon: float, seed, streams, reduce: Callable[[np.ndarray], np.ndarray],
-                    snapshot_stride: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """Snapshot times and ``reduce(coeffs)`` of every snapshot of an ensemble.
-
-    The ensemble runs one replica of ``u0`` per stream index in ``streams``;
-    ``reduce`` maps (..., R, dim) states to (..., R, ...) values, which are
-    stacked as (n_snapshots, R, ...).  Each chunk of snapshots that the time
-    loop hands out is reduced as it comes, so only reduced values are kept.
-    """
-    times, values = [], []
-    for t, states in ensemble(u0, params, noise, horizon, seed, streams, snapshot_stride):
-        times.append(t)
-        values.append(np.array(reduce(states)))  # a copy: no view keeps the chunk alive
-    return np.concatenate(times), np.concatenate(values)
-
-
 def cone_seed(master, path: int) -> np.random.SeedSequence:
     """Stream for sampling the cone of one Malliavin path.
 
     A spawned SeedSequence zero-pads its entropy to four 32-bit words before
     appending the spawn key, so it hashes at least six words, while a
-    ``trajectory_seed`` stream with master and index below 2**64 hashes at
-    most four: the two families never share a stream.
+    ``trajectory_seed`` stream with master below 2**32 (``SEED_BOUND``) and
+    index below 2**64 hashes at most four: the two families never share a
+    stream.
     """
+    if not 0 <= int(master) < SEED_BOUND:
+        raise ValueError(f"master seed must be in [0, 2**32), got {master}")
     if path < 0:
         raise ValueError("cone stream path index must be non-negative")
     return np.random.SeedSequence(int(master), spawn_key=(CONE_STREAM, int(path)))
@@ -237,13 +223,13 @@ def clt_sample(u0: SpectralState, params: EquationParams, noise: NoiseSpec,
     if pilot_horizon is None:
         pilot_horizon = 4.0 * horizon
     reduce = obs.reducer(u0.basis)
-    times, values = _replica_series(u0, params, noise, pilot_horizon, seed, [PILOT_STREAM],
-                                    reduce, snapshot_stride)
+    times, values = ensemble(u0, params, noise, pilot_horizon, seed, [PILOT_STREAM],
+                             snapshot_stride, reduce)
     mask = _window(times, min(burn_in, 0.5 * pilot_horizon))
     m_hat = _trapezoid_mean(values[mask, 0], times[mask])
 
-    times, values = _replica_series(u0, params, noise, horizon, seed, range(n_replicas),
-                                    reduce, snapshot_stride)
+    times, values = ensemble(u0, params, noise, horizon, seed, range(n_replicas),
+                             snapshot_stride, reduce)
     mask = times >= burn_in - 1e-12
     samples = np.array([normalized_integral(values[mask, i], times[mask], m_hat)
                         for i in range(n_replicas)])
@@ -296,8 +282,8 @@ def mixing_decay_estimate(u0_a: SpectralState, u0_b: SpectralState,
 
     def run(u0: SpectralState, tag: int):
         streams = range(tag * n_replicas, (tag + 1) * n_replicas)
-        times, values = _replica_series(u0, params, noise, horizon, seed, streams,
-                                        obs.reducer(u0.basis), snapshot_stride)
+        times, values = ensemble(u0, params, noise, horizon, seed, streams, snapshot_stride,
+                                 obs.reducer(u0.basis))
         vals = np.ascontiguousarray(values.T)  # (replica, time), as reduced replica by replica
         return times, vals.mean(axis=0), vals.var(axis=0, ddof=1) / n_replicas
 
@@ -373,7 +359,7 @@ def exp_moment_ensemble(u0: SpectralState, params: EquationParams, noise: NoiseS
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
-    times, values = _replica_series(u0, params, noise, horizon, seed, range(n_replicas),
-                                    lambda c: _energy_and_dissipation(u0.basis, c, params),
-                                    snapshot_stride)
+    times, values = ensemble(u0, params, noise, horizon, seed, range(n_replicas),
+                             snapshot_stride,
+                             lambda c: _energy_and_dissipation(u0.basis, c, params))
     return [_moment_series(times, *values[:, i].T, eta) for i in range(n_replicas)]

@@ -50,13 +50,13 @@ coefficients of shape (R, dim), one row per trajectory, each driven by its
 own stream.  Both routes of B and the step broadcast over that axis and
 treat the rows independently, so a replica batch steps R trajectories for
 the Python overhead of one, and each row equals the lone trajectory on its
-stream bit for bit.  ``simulate`` is the one-trajectory case that keeps the
-whole record; ``ensemble`` yields the batch's snapshots in chunks, for
-callers that reduce the states as the loop steps.  The loop's contract: the
-route of B is chosen once per run from n_cut, each block of increments is
-scaled to noise kicks in one expression, each step writes its state in
-place into a preallocated block of steps, every block is tested for
-finiteness once, and every chunk of snapshots is a fresh copy.
+stream bit for bit.  ``simulate`` is the one-trajectory case with its
+record; ``ensemble`` returns the batch's snapshots as one array, or only
+what a ``reduce`` keeps of them.  The loop's contract: the route of B is
+chosen once per run from n_cut, each block of increments is scaled to noise
+kicks in one expression, each step writes its state in place into a
+preallocated block of steps, every block is tested for finiteness once, and
+each block's snapshots, reduced if asked, are written into one output array.
 """
 
 from __future__ import annotations
@@ -663,8 +663,16 @@ def _route(basis: ModeBasis):
 # Time stepping.
 # ---------------------------------------------------------------------------
 
+#: Master seeds lie in [0, SEED_BOUND).  ``SeedSequence`` splits a seed into
+#: 32-bit words and zero-pads its entropy to four words, so stream 0 of the
+#: master 2**32 + 5 would draw what stream 1 of the master 5 draws.
+SEED_BOUND = 1 << 32
+
+
 def trajectory_seed(master, index: int):
     """Seed of trajectory stream ``index`` of a run seeded with ``master``."""
+    if not 0 <= int(master) < SEED_BOUND:
+        raise ValueError(f"master seed must be in [0, 2**32), got {master}")
     if index < 0:
         raise ValueError("trajectory stream index must be non-negative")
     return (int(master), int(index))
@@ -691,7 +699,7 @@ def _step_count(horizon: float, dt: float, snapshot_stride: int) -> int:
 
 #: Coefficients in each of the time loop's two blocks, the states of its
 #: steps and their noise kicks: 256 KiB of float64 apiece.  A block costs one
-#: finiteness test and one chunk of snapshots for all its steps.  Per linear
+#: finiteness test and one write of its snapshots for all its steps.  Per linear
 #: step at n_cut = 2, reduction included, medians in three fresh processes on
 #: a 2-vCPU x86 VM, against a loop that allocates, tests and hands out each
 #: step on its own: a lone state 1.0-1.7 against 3.7-5.8 us, a row-batch of 50
@@ -703,13 +711,14 @@ STEP_BLOCK = 1 << 15
 
 def _integrate(basis: ModeBasis, coeffs: np.ndarray, t0: float,
                params: EquationParams, noise: NoiseSpec, n_steps: int,
-               snapshot_stride: int, dw_blocks, streams=None):
-    """The time loop: yield (times, states) chunks of the snapshots, in order.
+               snapshot_stride: int, dw_blocks, streams=None, reduce=None):
+    """The time loop: (times (n_snap,), values (n_snap, ...)) on the snapshot grid.
 
-    ``coeffs`` is (dim,) or (R, dim), and ``dw_blocks`` yields the Brownian
+    ``coeffs`` is (dim,) or (R, dim), and ``dw_blocks`` gives the Brownian
     increments as (steps, d) or (steps, R, d) blocks that together cover
-    ``n_steps`` steps.  A chunk's states are (k,) + ``coeffs.shape``, a fresh
-    copy.  Every replica row evolves on its own, so a row's values do not
+    ``n_steps`` steps.  The values are the states, (n_snap,) + ``coeffs.shape``,
+    or ``reduce`` of them: it maps (k,) + ``coeffs.shape`` states to (k, ...)
+    values.  Every replica row evolves on its own, so a row's values do not
     depend on the rows batched with it.  ``streams`` names the rows in a
     blow-up report.
 
@@ -719,8 +728,9 @@ def _integrate(basis: ModeBasis, coeffs: np.ndarray, t0: float,
     every x).  A finished block is tested for finiteness once.  No operation
     of a step (x d, x - dt B, x + k) makes a non-finite entry finite, so the
     block's first non-finite row is the step that a test after every step
-    would have stopped at.  Then its snapshots are copied out as one chunk,
-    and its last row starts the next block.
+    would have stopped at.  Then its snapshots, passed through ``reduce`` when
+    one is given, are written into the output array, which the first block
+    allocates, and its last row starts the next block.
     """
     dt = params.dt
     lam = basis.dissipation_array(params)
@@ -741,8 +751,8 @@ def _integrate(basis: ModeBasis, coeffs: np.ndarray, t0: float,
     states, kick_rows = list(block), list(kicks)  # the row views, made once
     block[0] = coeffs
     snaps = np.array(snapshot_steps(n_steps, snapshot_stride))
-    times = t0 + dt * snaps
-    n, row = 0, 0  # steps taken, snapshots handed out
+    values = None
+    n, row = 0, 0  # steps taken, snapshots written
     for dw in dw_blocks:
         dw_kicks = (scale * (dw / sqrt_dt)).reshape(len(dw), -1)
         for start in range(0, len(dw), steps):
@@ -766,9 +776,15 @@ def _integrate(basis: ModeBasis, coeffs: np.ndarray, t0: float,
                                       math.hypot(*block[step].reshape(n_rows, basis.dim)[bad]))
             end = int(np.searchsorted(snaps, n + k, side="right"))
             if end > row:
-                yield times[row:end], block[snaps[row:end] - n]
+                got = block[snaps[row:end] - n]
+                if reduce is not None:
+                    got = reduce(got)
+                if values is None:
+                    values = np.empty((len(snaps),) + got.shape[1:], got.dtype)
+                values[row:end] = got
             n, row = n + k, end
             block[0] = block[k]
+    return t0 + dt * snaps, values
 
 
 #: Normals drawn per block of an ensemble's increments, over all replicas.
@@ -776,16 +792,18 @@ NOISE_BLOCK = 1 << 15
 
 
 def ensemble(state0: SpectralState, params: EquationParams, noise: NoiseSpec,
-             horizon: float, seed, streams, snapshot_stride: int = 1):
-    """Replicas of ``state0`` in one time loop; yields (times (k,), states (k, R, dim))
-    chunks of consecutive snapshots.
+             horizon: float, seed, streams, snapshot_stride: int = 1, reduce=None):
+    """Replicas of ``state0`` in one time loop: (times (n_snap,), values (n_snap, R, ...)).
 
     Row i is the trajectory on stream ``trajectory_seed(seed, streams[i])``
-    and, with the chunks concatenated, equals bit for bit the states of
-    ``simulate`` with that seed.  Its increments are drawn in blocks of
-    steps, which concatenate to the single draw ``simulate`` makes.  A chunk
-    holds the snapshots of one block of steps (``STEP_BLOCK``), so the caller
-    can reduce it before the next one, and no ensemble holds its whole record.
+    and equals bit for bit the states of ``simulate`` with that seed.  Its
+    increments are drawn in blocks of steps, which concatenate to the single
+    draw ``simulate`` makes.  The values are the states (n_snap, R, dim), or,
+    with ``reduce``, what it maps them to: each block of steps
+    (``STEP_BLOCK``) passes its snapshots through ``reduce`` before the next
+    block runs, so such an ensemble never holds its states, and the values
+    equal ``reduce`` of the whole states bit for bit when ``reduce`` treats
+    the snapshots independently.
     """
     streams = [int(i) for i in streams]
     n_steps = _step_count(horizon, params.dt, snapshot_stride)
@@ -793,7 +811,7 @@ def ensemble(state0: SpectralState, params: EquationParams, noise: NoiseSpec,
     coeffs = np.tile(state0.coeffs, (len(rngs), 1))
     return _integrate(state0.basis, coeffs, state0.time, params, noise, n_steps,
                       snapshot_stride, _increment_blocks(rngs, n_steps, noise.dim, params.dt),
-                      streams)
+                      streams, reduce)
 
 
 def _increment_blocks(rngs, n_steps: int, d: int, dt: float):
@@ -835,10 +853,10 @@ def simulate(state0: SpectralState, params: EquationParams, noise: NoiseSpec,
              increments: Optional[np.ndarray] = None) -> TrajectoryRecord:
     """Integrate up to the horizon; deterministic in (inputs, seed).
 
-    The one-replica case of the ensemble loop, with the whole record kept:
-    each chunk of snapshots is copied into it as the loop hands it out.
-    ``increments`` overrides the generated Brownian increments (used by the
-    refinement studies that share one underlying path across step sizes).
+    The one-replica case of the time loop, whose states on the snapshot grid
+    are the record.  ``increments`` overrides the generated Brownian
+    increments (used by the refinement studies that share one underlying path
+    across step sizes).
     """
     dt = params.dt
     n_steps = _step_count(horizon, dt, snapshot_stride)
@@ -850,14 +868,8 @@ def simulate(state0: SpectralState, params: EquationParams, noise: NoiseSpec,
         rng = np.random.default_rng(seed)
         dws = rng.standard_normal((n_steps, noise.dim)) * math.sqrt(dt)
 
-    n_snaps = len(snapshot_steps(n_steps, snapshot_stride))
-    times, states = np.empty(n_snaps), np.empty((n_snaps, state0.basis.dim))
-    row = 0
-    for t, chunk in _integrate(state0.basis, state0.coeffs, state0.time, params, noise,
-                               n_steps, snapshot_stride, [dws]):
-        times[row:row + len(t)], states[row:row + len(t)] = t, chunk
-        row += len(t)
-
+    times, states = _integrate(state0.basis, state0.coeffs, state0.time, params, noise,
+                               n_steps, snapshot_stride, [dws])
     return TrajectoryRecord(
         basis=state0.basis, params=params, noise=noise, seed=seed, dt=dt,
         n_steps=n_steps, snapshot_stride=snapshot_stride, times=times,

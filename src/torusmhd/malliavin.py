@@ -431,28 +431,24 @@ def malliavin_paths(u0: SpectralState, params: EquationParams, noise: NoiseSpec,
     Path p runs on stream ``trajectory_seed(seed, p)`` and samples its cone on
     ``cone_seed(seed, p)``; path 0 carries the ``probes`` rows through its
     sweep.  The paths step forward as one ``ensemble`` per group of paths whose
-    stride-1 records fit in ``PATH_GROUP_BYTES``, so each record equals the
-    lone ``simulate`` of its stream bit for bit, and a blow-up names its
-    stream.  Each path is then swept and probed on its own inside
-    :func:`one_blas_thread`: batching the sweep across paths is slower, as it
-    is bound by its dim^3 flops per step.
+    stride-1 records fit in ``PATH_GROUP_BYTES``.  The record of the i-th
+    path of a group holds the view ``states[:, i]`` of the group's (n_snap,
+    group, dim) states and equals the lone ``simulate`` of its stream bit for
+    bit; a blow-up names its stream.  Each path is then swept and probed on
+    its own inside :func:`one_blas_thread`: batching the sweep across paths is
+    slower, as it is bound by its dim^3 flops per step.
     """
     basis = u0.basis
     n_steps = _step_count(horizon, params.dt, 1)
     group = max(1, PATH_GROUP_BYTES // ((n_steps + 1) * basis.dim * 8))
     for first in range(0, paths, group):
         streams = range(first, min(paths, first + group))
-        states = np.empty((len(streams), n_steps + 1, basis.dim))
-        times, row = np.empty(n_steps + 1), 0
-        for t, chunk in ensemble(u0, params, noise, horizon, seed, streams):
-            times[row:row + len(t)] = t
-            states[:, row:row + len(t)] = chunk.transpose(1, 0, 2)
-            row += len(t)
-        for p, path_states in zip(streams, states):
+        times, states = ensemble(u0, params, noise, horizon, seed, streams)
+        for i, p in enumerate(streams):
             record = TrajectoryRecord(basis=basis, params=params, noise=noise,
                                       seed=trajectory_seed(seed, p), dt=params.dt,
                                       n_steps=n_steps, snapshot_stride=1, times=times,
-                                      states=path_states)
+                                      states=states[:, i])
             with one_blas_thread(basis.n_cut):
                 matrix = assemble_malliavin(FrozenPath(record), noise, n_level=n_level,
                                             probes=probes if p == 0 else None)

@@ -517,7 +517,7 @@ MALFORMED = {
     "equation.grid": NON_FINITE + ["two", [1], True, 7, 12.0],
     "equation.nonlinearity_enabled": [math.nan, "yes", 1, None, [True]],
     "run.T": NON_FINITE + WRONG_TYPE + [0, -1, 10**400],
-    "run.seed": NON_FINITE + WRONG_TYPE + [-3, 2.5],
+    "run.seed": NON_FINITE + WRONG_TYPE + [-3, 2.5, 2**32],
     "run.snapshot_stride": NON_FINITE + WRONG_TYPE + [0, 1.5],
     "run.ensemble_size": NON_FINITE + WRONG_TYPE + [0, -1],
     "run.workers": NON_FINITE + WRONG_TYPE + [0],
@@ -623,8 +623,12 @@ class TestMalformedConfigContract:
             assert not out.exists()
 
     def test_negative_seed_flag_rejected(self, tmp_path, capsys):
+        # and a seed of 2**32 or more, whose streams would be those of a smaller seed
         cfg = write_config(tmp_path, small_config())
-        code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "x"),
-                     "--seed", "-3"])
-        assert code == 2
-        assert any("run.seed" in v for v in json.loads(capsys.readouterr().err)["violations"])
+        for seed in ("-3", "4294967296"):
+            code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "x"),
+                         "--seed", seed])
+            assert code == 2
+            assert any("run.seed" in v
+                       for v in json.loads(capsys.readouterr().err)["violations"])
+            assert not (tmp_path / "x").exists()

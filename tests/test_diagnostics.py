@@ -269,9 +269,9 @@ class TestBatchedEnsembles:
             assert np.array_equal(probe.log_statistic, alone.log_statistic)
 
     def test_reducing_in_chunks_changes_no_bit(self, monkeypatch):
-        # snapshots are handed out and reduced in chunks of one block of
-        # steps; blocks of one step, and blocks that end partway through the
-        # stride-3 snapshot grid and the noise blocks, must give the same
+        # the time loop reduces the snapshots of each block of steps as the
+        # block ends; blocks of one step, and blocks that end partway through
+        # the stride-3 snapshot grid and the noise blocks, must give the same
         # values as the default blocks, which hold each whole run
         basis = ModeBasis(3)
         params = EquationParams(alpha=1.5, beta=1.5, n_cut=3, dt=0.01)
@@ -297,24 +297,32 @@ class TestBatchedEnsembles:
                 patch.setattr(galerkin, "NOISE_BLOCK", 5 * 3 * noise.dim)
                 assert all(np.array_equal(a, b) for a, b in zip(whole, run()))
 
-    def test_clt_memory_holds_reduced_values_only(self):
-        # the states of all replicas, (50, 2501, 24) float64, would take 24 MB
+    @pytest.mark.parametrize("probe", [
+        "clt_sample(u0, params, noise, obs, horizon=50.0, n_replicas=50, seed=3)",
+        "mixing_decay_estimate(u0, unit_mode_state(basis, mode, 3.0), params, noise, obs, "
+        "horizon=50.0, n_replicas=50, seed=3)",
+    ], ids=["clt_sample", "mixing_decay_estimate"])
+    def test_clt_memory_holds_reduced_values_only(self, probe):
+        # the states of all replicas of one ensemble, (50, 2501, 24) float64,
+        # would take 24 MB
         code = textwrap.dedent("""
             import tracemalloc
-            from torusmhd.diagnostics import Observable, clt_sample
-            from torusmhd.galerkin import EquationParams, NoiseSpec, ModeBasis, zero_state
+            from torusmhd.diagnostics import Observable, clt_sample, mixing_decay_estimate
+            from torusmhd.galerkin import (EquationParams, NoiseSpec, ModeBasis,
+                                           unit_mode_state, zero_state)
             from torusmhd.lattice import COS, MAGNETIC, make_mode
 
             basis = ModeBasis(2)
             params = EquationParams(alpha=1.5, beta=1.0, n_cut=2, dt=0.02,
                                     nonlinearity_enabled=False)
             noise = NoiseSpec.from_amplitudes({(0, 1): (1.0, 1.0)})
-            obs = Observable("mode_coefficient_squared", make_mode(MAGNETIC, (0, 1), COS))
+            mode = make_mode(MAGNETIC, (0, 1), COS)
+            obs = Observable("mode_coefficient_squared", mode)
+            u0 = zero_state(basis)
             tracemalloc.start()
-            clt_sample(zero_state(basis), params, noise, obs, horizon=50.0,
-                       n_replicas=50, seed=3)
+            %s
             print(tracemalloc.get_traced_memory()[1])
-        """)
+        """) % probe
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -339,6 +347,18 @@ class TestStreams:
         assert not cones & paths
         assert self.state(cone_seed(master, 7)) == self.state(cone_seed(master, 7))
         assert self.state(cone_seed(master, 7)) != self.state(cone_seed(master + 1, 7))
+
+    def test_master_seeds_stop_below_2_to_the_32(self):
+        # SeedSequence splits a seed into 32-bit words and zero-pads them to
+        # four, so stream 0 of 2**32 + 5 is stream 1 of 5
+        assert self.state((2**32 + 5, 0)) == self.state(trajectory_seed(5, 1))
+        for master in (2**32, 2**32 + 5, -1):
+            with pytest.raises(ValueError, match="master seed"):
+                trajectory_seed(master, 0)
+            with pytest.raises(ValueError, match="master seed"):
+                cone_seed(master, 0)
+        assert trajectory_seed(2**32 - 1, 0) == (2**32 - 1, 0)
+        assert cone_seed(2**32 - 1, 0).entropy == 2**32 - 1
 
 
 class TestMomentProbe:

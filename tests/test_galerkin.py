@@ -47,12 +47,6 @@ def one_step(state, params, noise, dw=None):
     return SpectralState(state.basis, rec.states[-1], float(rec.times[-1]))
 
 
-def chunked(chunks):
-    """The (times, states) chunks of a time loop, concatenated."""
-    times, states = zip(*chunks)
-    return np.concatenate(times), np.concatenate(states)
-
-
 class TestBasis:
     def test_dimension_counts_full_ball(self):
         basis = ModeBasis(2)
@@ -425,7 +419,7 @@ class TestSimulate:
         huge = SpectralState(basis, 1e200 * np.ones(basis.dim))
         noise = NoiseSpec.uniform([(0, 1)], 1.0)
         with np.errstate(all="ignore"), pytest.raises(SimulationError) as err:
-            list(ensemble(huge, params, noise, 5.0, seed=0, streams=[4, 7]))
+            ensemble(huge, params, noise, 5.0, seed=0, streams=[4, 7])
         assert (err.value.step, err.value.replica, err.value.time) == (1, 4, 1.0)
         assert err.value.last_norm == pytest.approx(1e200 * math.sqrt(basis.dim))
         with np.errstate(all="ignore"), pytest.raises(SimulationError) as err:
@@ -475,10 +469,10 @@ class TestSimulate:
             if block is not None:  # increments in blocks of 2 steps: step 3 is in the second
                 monkeypatch.setattr(galerkin, "NOISE_BLOCK", block * len(streams) * noise.dim)
             step_block(len(streams))
-            run = lambda: list(ensemble(u0, params, noise, n_steps * params.dt, seed=0,
-                                        streams=streams, snapshot_stride=stride))
+            run = lambda: ensemble(u0, params, noise, n_steps * params.dt, seed=0,
+                                   streams=streams, snapshot_stride=stride)
             if expect is None:  # no replica, so nothing to blow up
-                times, states = chunked(run())
+                times, states = run()
                 assert np.array_equal(times, snapshot_steps(n_steps, stride))
                 assert states.shape == (len(times), 0, basis.dim)
                 return
@@ -508,8 +502,8 @@ class TestSimulate:
             basis = ModeBasis(n_cut)
             params = make_params(n_cut=n_cut)
             u0 = SpectralState(basis, 0.2 * np.random.default_rng(4).standard_normal(basis.dim))
-            times, states = chunked(ensemble(u0, params, noise, 0.05, seed=9,
-                                             streams=[2, 0, 5], snapshot_stride=2))
+            times, states = ensemble(u0, params, noise, 0.05, seed=9, streams=[2, 0, 5],
+                                     snapshot_stride=2)
             for row, stream in enumerate([2, 0, 5]):
                 rec = simulate(u0, params, noise, 0.05, trajectory_seed(9, stream),
                                snapshot_stride=2)
@@ -519,9 +513,12 @@ class TestSimulate:
     def test_block_size_changes_no_bit(self, monkeypatch):
         # blocks of one step, and blocks of 4 ensemble steps (14 lone ones) that
         # end partway through the stride-3 snapshot grid and through the noise
-        # blocks of 10 steps, against the default blocks that hold the whole run
+        # blocks of 10 steps, against the default blocks that hold the whole run;
+        # a reduced ensemble, which reduces block by block, equals the reduction
+        # of the whole states
         noise = NoiseSpec.uniform([(0, 1), (1, 1)], 1.0)
         streams = [2, 0, 5]
+        reduce = lambda states: np.stack([(states**2).sum(-1), np.tanh(states[..., 1])], -1)
         for n_cut in (3, 5):  # triad route, grid route
             basis = ModeBasis(n_cut)
             params = make_params(n_cut=n_cut)
@@ -531,9 +528,14 @@ class TestSimulate:
 
             def run():
                 rec = simulate(u0, params, noise, horizon, seed=9, snapshot_stride=3)
-                return (rec.times, rec.states,
-                        *chunked(ensemble(u0, params, noise, horizon, seed=9,
-                                          streams=streams, snapshot_stride=3)))
+                times, states = ensemble(u0, params, noise, horizon, seed=9, streams=streams,
+                                         snapshot_stride=3)
+                reduced_times, values = ensemble(u0, params, noise, horizon, seed=9,
+                                                 streams=streams, snapshot_stride=3,
+                                                 reduce=reduce)
+                assert np.array_equal(reduced_times, times)
+                assert np.array_equal(values, reduce(states))
+                return rec.times, rec.states, times, states, values
 
             whole = run()
             for step_block in (1, 15 * basis.dim):
