@@ -1,5 +1,6 @@
 """Empirical ergodicity probes: time averages, CLT histograms, mixing decay
-and exponential-moment statistics.
+and exponential-moment statistics.  Only the KS test of ``clt_sample`` loads
+scipy, so every other probe runs on numpy alone.
 
 Mixing is probed through differences of ensemble expectations of fixed
 observables rather than through a Wasserstein distance: estimating the latter
@@ -28,7 +29,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import stats
 
 from .galerkin import (
     SEED_BOUND,
@@ -204,6 +204,7 @@ def ks_against_fitted_normal(samples: np.ndarray) -> tuple[float, float]:
     mu, sd = float(np.mean(samples)), float(np.std(samples, ddof=1))
     if sd == 0.0:
         raise ValueError("degenerate sample variance")
+    from scipy import stats  # about 0.7 s to import, and only ``clt`` needs it
     res = stats.kstest(samples, "norm", args=(mu, sd))
     return float(res.statistic), float(res.pvalue)
 

@@ -364,12 +364,10 @@ class NoiseSpec:
     """Degenerate magnetic forcing: one Brownian motion per (k, parity) entry.
 
     Wavevectors are stored canonically, with the sign flip of a
-    canonicalized cos mode folded into the amplitude.  ``z0`` keeps the
-    forced set as given for reachability bookkeeping.
+    canonicalized cos mode folded into the amplitude.
     """
 
     entries: tuple[NoiseEntry, ...]
-    z0: frozenset[Vec]
 
     @classmethod
     def from_amplitudes(cls, amplitudes: dict[Vec, tuple[float, float]]) -> "NoiseSpec":
@@ -380,7 +378,7 @@ class NoiseSpec:
                     raise ValueError(f"zero amplitude for forced mode {k}, parity {parity}")
                 kc, sign = canonical_rep(tuple(k), parity)
                 entries.append(NoiseEntry(kc, parity, sign * amp))
-        return cls(entries=tuple(entries), z0=frozenset(tuple(k) for k in amplitudes))
+        return cls(entries=tuple(entries))
 
     @classmethod
     def uniform(cls, wavevectors, amplitude: float = 1.0) -> "NoiseSpec":
@@ -405,7 +403,7 @@ class NoiseSpec:
         )
 
 
-EMPTY_NOISE = NoiseSpec(entries=(), z0=frozenset())
+EMPTY_NOISE = NoiseSpec(entries=())
 
 
 # ---------------------------------------------------------------------------

@@ -376,19 +376,22 @@ def _openblas_controls(path: str):
     return None
 
 
-def loaded_openblas() -> list:
+@lru_cache(maxsize=None)
+def loaded_openblas() -> tuple:
     """(get, set) thread-count controls of every OpenBLAS the process has loaded.
 
-    The loaded libraries are read from ``/proc/self/maps``; where that does
-    not exist, or no OpenBLAS is among them, the list is empty.
+    Read from ``/proc/self/maps`` (empty where it does not exist or lists no
+    OpenBLAS) once per process, as libraries are never unmapped.  One loaded
+    later, such as scipy's inside ``clt``, is missed: only numpy's, mapped on
+    import, runs the sweep, the cone and the eigenvalues.
     """
     try:
         with open("/proc/self/maps", encoding="utf-8", errors="replace") as fh:
             fields = [line.split(maxsplit=5) for line in fh]
         paths = {f[5].strip() for f in fields if len(f) == 6 and "openblas" in f[5].lower()}
     except OSError:
-        return []
-    return [c for c in map(_openblas_controls, sorted(paths)) if c is not None]
+        return ()
+    return tuple(c for c in map(_openblas_controls, sorted(paths)) if c is not None)
 
 
 @contextlib.contextmanager

@@ -54,7 +54,7 @@ class TestValidation:
         assert cfg.equation.n_cut == 4
         assert cfg.equation.dt == 1e-3
         assert cfg.noise.e0() == 8.0
-        assert sorted(cfg.noise.z0) == [(0, 1), (1, 0), (1, 1), (1, 2)]
+        assert sorted({e.k for e in cfg.noise.entries}) == [(0, 1), (1, 0), (1, 1), (1, 2)]
 
     def test_alpha_at_most_one_rejected(self, tmp_path):
         doc = small_config()

@@ -319,6 +319,7 @@ class TestBatchedEnsembles:
             mode = make_mode(MAGNETIC, (0, 1), COS)
             obs = Observable("mode_coefficient_squared", mode)
             u0 = zero_state(basis)
+            from scipy import stats  # clt_sample imports it; keep the import untraced
             tracemalloc.start()
             %s
             print(tracemalloc.get_traced_memory()[1])

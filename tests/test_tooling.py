@@ -1,7 +1,12 @@
-"""The test harness itself: failure reports, and the names the benchmark imports."""
+"""The test harness itself: failure reports, the names the benchmark imports,
+and the modules a CLI run imports."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -50,3 +55,21 @@ def test_every_name_the_benchmark_imports_resolves():
         except ModuleNotFoundError:
             missing.append(f"{file}: from {module} import {name}")
     assert missing == []
+
+
+def test_symbolic_subcommands_run_without_scipy(tmp_path):
+    # in a fresh process: this one has imported scipy through other tests
+    code = textwrap.dedent("""
+        import sys
+        from torusmhd import cli
+        out = sys.argv[1]
+        assert cli.main(["reach", "--z0", "0,1;1,1;1,0;1,2", "--radius", "4",
+                         "--out", out + "/reach"]) == 0
+        assert cli.main(["bracket", "verify", "--kmax", "1", "--out", out + "/bracket"]) == 0
+        print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+    """)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.splitlines()[-1] == "[]"
