@@ -24,7 +24,8 @@ evaluation, FFT differentiation, grid quadrature) and reports the ratio of
 the two computations, which must be one global constant across every
 admissible (k, l, combo, slot).  Both routes read the signed sums of
 advections that define the combinations from ``_COMBO_TABLE``, and share no
-arithmetic.
+arithmetic.  The symbolic route's scalar geometry is plain arithmetic on
+Python floats; it does not go through numpy or BLAS.
 
 ``verification_sweep`` does each piece of work once.  On the symbolic route a
 pair (k, l) builds its eight advections ``_ADVECTIONS`` once
@@ -40,6 +41,7 @@ Nothing is kept between calls.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -125,7 +127,7 @@ def field_from_terms(raw_terms) -> TrigVectorField:
             key = (parity, (-k[0], -k[1]))
             sign = -1.0 if parity == SIN else 1.0
         a0, a1 = acc.get(key, (0.0, 0.0))
-        acc[key] = (a0 + sign * float(amp[0]), a1 + sign * float(amp[1]))
+        acc[key] = (a0 + sign * amp[0], a1 + sign * amp[1])
     terms = []
     for (parity, k), amp in sorted(acc.items()):
         if amp[0] == 0.0 and amp[1] == 0.0:
@@ -146,19 +148,20 @@ def advect(k: Vec, m: int, l: Vec, m2: int) -> TrigVectorField:
     """
     if k == (0, 0) or l == (0, 0):
         raise ValueError("advection requires nonzero wavevectors")
-    c0 = float(direction(k, m) @ np.asarray(l, dtype=float))
+    dk = direction(k, m)
+    c0 = dk[0] * l[0] + dk[1] * l[1]
     if m2 == COS:
         coef, second = -c0, SIN  # grad cos(l.x) = -l sin(l.x)
     else:
         coef, second = c0, COS
     if coef == 0.0:
         return ZERO_FIELD
-    amp = coef * direction(l, m2)
+    dl = direction(l, m2)
     first = COS if m == COS else SIN
     ksum = (k[0] + l[0], k[1] + l[1])
     kdif = (k[0] - l[0], k[1] - l[1])
-    half = (0.5 * amp[0], 0.5 * amp[1])
-    neg_half = (-0.5 * amp[0], -0.5 * amp[1])
+    half = (0.5 * (coef * dl[0]), 0.5 * (coef * dl[1]))
+    neg_half = (-half[0], -half[1])
     if first == COS and second == COS:
         raw = [TrigTerm(half, COS, kdif), TrigTerm(half, COS, ksum)]
     elif first == COS and second == SIN:
@@ -198,7 +201,8 @@ def leray_project(f: TrigVectorField, slot: int) -> DirectionExpansion:
     for amp, parity, q in f.terms:
         if q == (0, 0):
             continue
-        c = float(np.asarray(amp) @ direction(q, parity)) * BASIS_NORM
+        d = direction(q, parity)
+        c = (amp[0] * d[0] + amp[1] * d[1]) * BASIS_NORM
         if abs(c) > PRUNE_TOL:
             mode = make_mode(slot, q, parity)
             coeffs[mode] = coeffs.get(mode, 0.0) + c
@@ -238,9 +242,9 @@ def _pair_advections(k: Vec, l: Vec) -> list[TrigVectorField]:
 
 def _combo_field(advections: list[TrigVectorField], combo: str, slot: int) -> TrigVectorField:
     """Pre-projection field of one direction combination, reduced exactly."""
-    weights = _COMBO_TABLE[slot, COMBOS.index(combo)]
+    weights = _COMBO_TABLE[slot, COMBOS.index(combo)].tolist()
     return field_from_terms(
-        TrigTerm((w * amp[0], w * amp[1]), parity, q)
+        ((w * amp[0], w * amp[1]), parity, q)
         for w, advection in zip(weights, advections) if w
         for amp, parity, q in advection.terms)
 
@@ -266,7 +270,7 @@ def closed_form_weight(k: Vec, l: Vec, combo: str, slot: int) -> float:
     """
     a = pairing_coefficient(k, l)
     target, _ = combo_target(k, l, combo, slot)
-    tnorm = float(np.sqrt(norm_sq(target))) if target != (0, 0) else 0.0
+    tnorm = math.sqrt(norm_sq(target))
     if slot == VELOCITY:
         if tnorm == 0.0:
             return 0.0
@@ -396,40 +400,44 @@ class VerificationReport:
 
 def _candidate_wavevectors(k: Vec, l: Vec) -> list[Vec]:
     bound = norm_sq((abs(k[0]) + abs(l[0]), abs(k[1]) + abs(l[1])))
-    r = int(np.ceil(np.sqrt(bound)))
+    r = math.isqrt(bound)  # no coordinate of a candidate exceeds it
     return [(q1, q2) for q1 in range(r + 1) for q2 in range(-r, r + 1)
             if is_canonical((q1, q2)) and norm_sq((q1, q2)) <= bound]
 
 
-def _report(k: Vec, l: Vec, combo: str, slot: int, symbolic: DirectionExpansion,
-            candidates: list[Vec], projections: np.ndarray) -> VerificationReport:
-    """Compare a symbolic expansion with its (candidate, parity) projections."""
-    magnitudes = np.abs(projections)
-    surviving = magnitudes > 1e-10  # smaller projections count as vanishing
-    if symbolic.degenerate is not None or symbolic.is_empty():
-        return VerificationReport(
-            k, l, combo, slot, selection_ok=not surviving.any(),
-            degenerate=symbolic.degenerate, max_stray=float(magnitudes.max()),
-        )
-
-    mode, sym_coeff = symbolic.single_mode()
-    at = (candidates.index(mode.k), mode.parity)
-    ok = bool(surviving[at]) and int(surviving.sum()) == 1
-    quad_coeff = float(projections[at])
-    magnitudes[at] = 0.0
-    stray = float(magnitudes.max())
-    ratio = sym_coeff / quad_coeff if quad_coeff else float("nan")
-
-    raw_target, parity = combo_target(k, l, combo, slot)
-    _, sign = canonical_rep(raw_target, parity)
-    weight = closed_form_weight(k, l, combo, slot)
-    pinned = sym_coeff * sign / weight if weight else float("nan")
-
-    return VerificationReport(
-        k, l, combo, slot, selection_ok=ok, target_mode=mode,
-        symbolic_coeff=sym_coeff, quadrature_coeff=quad_coeff,
-        coefficient_ratio=ratio, pinned_constant=pinned, max_stray=stray,
-    )
+def _pair_reports(k: Vec, l: Vec, sampled: _SampledFields) -> list[VerificationReport]:
+    """The pair's eight reports, slot-major in :data:`COMBOS` order, each comparing a
+    symbolic expansion with its projections on ``sampled``; one array pass takes
+    the magnitudes, survivors and strays of all eight."""
+    advections = _pair_advections(k, l)
+    candidates, projections = _pair_quadrature(k, l, sampled)
+    rows = projections.reshape(8, -1)  # [slot, combo] by [candidate, parity]
+    magnitudes = np.abs(rows)
+    survivors = (magnitudes > 1e-10).sum(axis=1).tolist()  # smaller ones count as vanishing
+    reports = []
+    for r, (slot, combo) in enumerate(itertools.product((VELOCITY, MAGNETIC), COMBOS)):
+        symbolic = _direction_expansion(k, l, combo, slot, advections)
+        if symbolic.degenerate is not None or symbolic.is_empty():
+            reports.append(VerificationReport(k, l, combo, slot, selection_ok=not survivors[r],
+                                              degenerate=symbolic.degenerate))
+            continue
+        mode, sym_coeff = symbolic.single_mode()
+        at = 2 * candidates.index(mode.k) + mode.parity
+        ok = bool(magnitudes[r, at] > 1e-10) and survivors[r] == 1
+        quad_coeff = float(rows[r, at])
+        magnitudes[r, at] = 0.0
+        ratio = sym_coeff / quad_coeff if quad_coeff else float("nan")
+        raw_target, parity = combo_target(k, l, combo, slot)
+        _, sign = canonical_rep(raw_target, parity)
+        weight = closed_form_weight(k, l, combo, slot)
+        pinned = sym_coeff * sign / weight if weight else float("nan")
+        reports.append(VerificationReport(
+            k, l, combo, slot, selection_ok=ok, target_mode=mode,
+            symbolic_coeff=sym_coeff, quadrature_coeff=quad_coeff,
+            coefficient_ratio=ratio, pinned_constant=pinned))
+    for report, stray in zip(reports, magnitudes.max(axis=1).tolist()):
+        report.max_stray = stray
+    return reports
 
 
 def verify_bracket_identity(k: Vec, l: Vec, combo: str, slot: int) -> VerificationReport:
@@ -443,13 +451,12 @@ def verify_bracket_identity(k: Vec, l: Vec, combo: str, slot: int) -> Verificati
     the same constant for every admissible input.  ``pinned_constant`` is the
     surviving coefficient relative to the closed-form weight, i.e. the
     empirically determined normalization constant of the direction lemmas
-    (unit-basis convention).
+    (unit-basis convention).  The pair's other seven reports are built too.
     """
-    symbolic = _direction_expansion(k, l, combo, slot)
-    candidates, projections = _pair_quadrature(
-        k, l, _SampledFields(_quadrature_grid(k, l)))
-    return _report(k, l, combo, slot, symbolic, candidates,
-                   projections[slot, COMBOS.index(combo)])
+    if combo not in COMBOS or slot not in (VELOCITY, MAGNETIC):
+        raise ValueError(f"unknown combo {combo!r} or slot {slot!r}")
+    reports = _pair_reports(k, l, _SampledFields(_quadrature_grid(k, l)))
+    return reports[slot * len(COMBOS) + COMBOS.index(combo)]
 
 
 def verification_sweep(kmax: int) -> list[VerificationReport]:
@@ -474,11 +481,5 @@ def verification_sweep(kmax: int) -> list[VerificationReport]:
     for grid, indices in by_grid.items():
         sampled = _SampledFields(grid)
         for i in indices:
-            k, l = pairs[i]
-            advections = _pair_advections(k, l)
-            candidates, projections = _pair_quadrature(k, l, sampled)
-            reports[i] = [_report(k, l, combo, slot,
-                                  _direction_expansion(k, l, combo, slot, advections),
-                                  candidates, projections[slot, c])
-                          for slot in (VELOCITY, MAGNETIC) for c, combo in enumerate(COMBOS)]
+            reports[i] = _pair_reports(*pairs[i], sampled)
     return [r for pair_reports in reports for r in pair_reports]

@@ -50,12 +50,14 @@ from .galerkin import (
 )
 from .lattice import MAGNETIC, make_mode
 from .malliavin import ConeSpec, malliavin_paths
-from .reachability import ForcedSet, check_hypothesis, generation_certificate
+from .reachability import COORD_LIMIT, ForcedSet, check_hypothesis, generation_certificate
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_CONFIG = 2
 EXIT_BLOWUP = 3
+
+_encode = json.JSONEncoder(sort_keys=True).encode
 
 
 # ---------------------------------------------------------------------------
@@ -68,6 +70,10 @@ class OutputDir:
     The start time is taken when the object is made.  The directory is made
     by the first write, so a run that fails before it writes leaves none.
     ``artifacts`` maps each written file to the SHA-256 of its bytes.
+
+    JSON: sorted keys, one line per top-level key and per object of a
+    top-level list, each line compact from CPython's C encoder; non-finite
+    numbers stay ``NaN`` tokens.  CSV: each cell is the ``repr`` of a number.
     """
 
     def __init__(self, path: str):
@@ -81,13 +87,17 @@ class OutputDir:
         (self.path / name).write_bytes(data)
         self.artifacts[name] = hashlib.sha256(data).hexdigest()
 
-    def write_json(self, name: str, payload) -> None:
-        self._write(name, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    def write_json(self, name: str, payload: dict) -> None:
+        lines = []
+        for key, value in sorted(payload.items()):
+            records = isinstance(value, list) and value and all(isinstance(v, dict) for v in value)
+            text = "[\n" + ",\n".join(map(_encode, value)) + "\n]" if records else _encode(value)
+            lines.append(f"{_encode(key)}: {text}")
+        self._write(name, "{\n" + ",\n".join(lines) + "\n}\n")
 
     def write_csv(self, name: str, header: list[str], rows) -> None:
         lines = [",".join(header)]
-        for row in rows:
-            lines.append(",".join(_cell(v) for v in row))
+        lines.extend(",".join(map(repr, row)) for row in rows)
         self._write(name, "\n".join(lines) + "\n")
 
     def finalize(self, config_echo) -> None:
@@ -100,12 +110,6 @@ class OutputDir:
             "finished_at": time.time(),
             "artifacts": dict(self.artifacts),
         })
-
-
-def _cell(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
 
 
 def _parse_vec_list(text: str) -> list[tuple[int, int]]:
@@ -209,6 +213,8 @@ def _reach_inputs(args) -> tuple[ForcedSet, list[tuple[int, int]]]:
             violations.append(f"--certify: {exc}")
         if (0, 0) in targets:
             violations.append("--certify: targets must be nonzero")
+        if any(max(abs(a), abs(b)) >= COORD_LIMIT for a, b in targets):
+            violations.append(f"--certify: target coordinates must be below {COORD_LIMIT}")
     if args.radius < 1:
         violations.append(f"--radius must be >= 1 (got {args.radius})")
     if args.max_depth is not None and args.max_depth < 1:

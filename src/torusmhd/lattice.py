@@ -108,11 +108,11 @@ def pairing_coefficient(k: Vec, l: Vec) -> float:
     return perp_dot(k, l) / math.sqrt(norm_sq(k) * norm_sq(l))
 
 
-def direction(k: Vec, parity: int) -> np.ndarray:
+def direction(k: Vec, parity: int) -> tuple[float, float]:
     """Unit direction vector of the basis field: (k2,-k1)/|k| for cos, negated for sin."""
     n = math.sqrt(norm_sq(k))
-    d = np.array([k[1] / n, -k[0] / n])
-    return d if parity == COS else -d
+    d = (k[1] / n, -k[0] / n)
+    return d if parity == COS else (-d[0], -d[1])
 
 
 def scalar_values(k: Vec, parity: int, x1, x2):
@@ -137,18 +137,6 @@ def grid_mesh(m: int) -> tuple[np.ndarray, np.ndarray]:
     return np.meshgrid(x, x, indexing="ij")
 
 
-def min_grid(k: Vec) -> int:
-    return 4 * max(abs(k[0]), abs(k[1]), 1)
-
-
-def _check_grid(m: int, k: Vec) -> None:
-    if m % 2 != 0 or m < min_grid(k):
-        raise ValueError(
-            f"grid {m}x{m} under-resolves wavevector {k}: "
-            f"need an even resolution >= {min_grid(k)}"
-        )
-
-
 def project_onto_modes(values: np.ndarray, wavevectors) -> np.ndarray:
     """Inner products of grid-sampled 2-vector fields with the unit modes at each wavevector.
 
@@ -164,11 +152,14 @@ def project_onto_modes(values: np.ndarray, wavevectors) -> np.ndarray:
     if values.ndim < 3 or values.shape[-3] != 2 or values.shape[-2] != values.shape[-1]:
         raise ValueError(f"expected fields of shape (..., 2, m, m), got {values.shape}")
     m = values.shape[-1]
-    for q in wavevectors:
-        _check_grid(m, q)
     q = np.array(wavevectors, dtype=np.int64).reshape(-1, 2)
+    need = 4 * max(int(np.abs(q).max()), 1)  # the widest wavevector sets it
+    if m % 2 != 0 or m < need:
+        raise ValueError(f"grid {m}x{m} under-resolves a wavevector of |q|_inf "
+                         f"{need // 4}: need an even resolution >= {need}")
     spectrum = np.fft.fft2(values)[..., q[:, 0] % m, q[:, 1] % m]
-    cos_dirs = np.array([direction(k, COS) for k in wavevectors]).reshape(-1, 2)
+    n = np.sqrt((q * q).sum(axis=1))
+    cos_dirs = np.stack([q[:, 1] / n, -q[:, 0] / n], axis=1)  # direction(q, COS)
     weight = (2.0 * math.pi / m) ** 2 / BASIS_NORM
     return np.stack([np.einsum("...cn,nc->...n", spectrum.real, cos_dirs),
                      np.einsum("...cn,nc->...n", spectrum.imag, cos_dirs)], axis=-1) * weight

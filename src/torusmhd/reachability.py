@@ -248,6 +248,8 @@ def generation_certificate(forced: ForcedSet, target: Vec, parity: str = "even",
     """Breadth-first search for a minimal chain of the requested step parity."""
     if target == (0, 0):
         raise ValueError("target must be nonzero")
+    if max(abs(target[0]), abs(target[1])) >= COORD_LIMIT:
+        raise ValueError(f"target coordinates must be below {COORD_LIMIT}")
     if parity not in ("even", "odd"):
         raise ValueError("parity must be 'even' or 'odd'")
     radius = max(1, math.isqrt(norm_sq(target)) + 1)

@@ -64,13 +64,13 @@ class TestAdvect:
             f = advect(k, m, l, m2)
             xs = rng.uniform(-math.pi, math.pi, size=(100, 2))
             got = f.evaluate(xs[:, 0], xs[:, 1])
-            c0 = float(direction(k, m) @ np.array(l, dtype=float))
+            c0 = float(np.array(direction(k, m)) @ np.array(l, dtype=float))
             first = scalar_values(k, m, xs[:, 0], xs[:, 1])
             if m2 == COS:
                 raw = -c0 * first * scalar_values(l, SIN, xs[:, 0], xs[:, 1])
             else:
                 raw = c0 * first * scalar_values(l, COS, xs[:, 0], xs[:, 1])
-            want = direction(l, m2)[:, None] * raw
+            want = np.array(direction(l, m2))[:, None] * raw
             assert np.max(np.abs(got - want)) < 1e-12
 
     def test_pointwise_against_finite_differences(self):

@@ -227,6 +227,27 @@ class TestCli:
         assert len(err["violations"]) == 1 and err["violations"][0].startswith("--config")
         assert not out.exists()
 
+    def test_json_artifact_layout(self, tmp_path):
+        # one line per top-level key and per object of a top-level list;
+        # everything else compact, NaN kept as a token
+        payload = {"rows": [{"b": 1, "a": [1.5, None]}, {"c": {"d": True}}],
+                   "nested": {"y": {"z": "s"}, "x": []}, "empty_list": [],
+                   "empty_dict": {}, "value": float("nan")}
+        out = cli.OutputDir(str(tmp_path / "out"))
+        out.write_json("doc.json", payload)
+        text = (tmp_path / "out" / "doc.json").read_text()
+        doc = json.loads(text)
+        assert math.isnan(doc.pop("value"))
+        assert doc == {k: v for k, v in payload.items() if k != "value"}
+        assert text.endswith("}\n")
+        lines = text.splitlines()
+        assert lines[0] == "{" and lines[-1] == "}"
+        for key in payload:
+            assert sum(line.startswith(f'"{key}": ') for line in lines) == 1
+        assert '{"a": [1.5, null], "b": 1},' in lines
+        assert '{"c": {"d": true}}' in lines
+        assert '"value": NaN' in lines
+
     def test_bracket_verify_cli(self, tmp_path, capsys):
         out = tmp_path / "bracket"
         code = main(["bracket", "verify", "--kmax", "1", "--out", str(out)])
@@ -251,6 +272,7 @@ class TestCli:
         (["--certify=0,0"], "--certify"),
         (["--radius", "0"], "--radius"),
         (["--max-depth", "0"], "--max-depth"),
+        (["--certify=3000000000,0"], "--certify"),
     ])
     def test_reach_malformed_input_is_a_config_error(self, tmp_path, capsys, args, flag):
         out = tmp_path / "reach"

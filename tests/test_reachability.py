@@ -46,6 +46,9 @@ class TestForcedSet:
         with pytest.raises(ValueError, match="below"):
             next_generation({(2**31, 1)}, forced)
         assert next_generation({(1, 0)}, forced) == {(2**30, 1), (2 - 2**30, -1)}
+        # a target is checked before its search window is sized from it
+        with pytest.raises(ValueError, match="below"):
+            generation_certificate(forced, (-(2**30), 0))
 
 
 class TestNextGeneration:
