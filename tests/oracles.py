@@ -1,8 +1,10 @@
 """Reference computations that only the tests use."""
 
+import math
+
 import numpy as np
 
-from torusmhd.galerkin import ModeBasis
+from torusmhd.galerkin import ModeBasis, triad_table
 from torusmhd.lattice import BASIS_NORM, COS, direction, norm_sq
 from torusmhd.malliavin import FrozenPath, _backward_sweep
 
@@ -13,6 +15,20 @@ def triad_jacobian(table, cu):
     dim = 2 * table.width
     weights = table.jac_coeff * np.take(cu, table.jac_state)
     return np.bincount(table.jac_cell, weights, dim * dim).reshape(dim, dim)
+
+
+def bincount_step_matrix(path: FrozenPath, n: int) -> np.ndarray:
+    """A_n = E (I - dt L_n) from one ``bincount`` of the scaled triad-Jacobian
+    entries into the dim * dim cells, each cell summed in table order."""
+    dim = path.basis.dim
+    if not path.params.nonlinearity_enabled:
+        return np.diag(path.decay)
+    table = triad_table(path.basis.n_cut)
+    weight = -path.dt * path.decay[table.jac_cell // dim] * table.jac_coeff
+    weights = weight * np.take(path.states[n], table.jac_state)
+    a = np.bincount(table.jac_cell, weights, dim * dim).reshape(dim, dim)
+    a.flat[::dim + 1] += path.decay
+    return a
 
 
 def fft_bilinear(basis: ModeBasis, cu: np.ndarray, cv: np.ndarray) -> np.ndarray:
@@ -84,3 +100,43 @@ def embed_coeffs(src: ModeBasis, coeffs: np.ndarray, dst: ModeBasis) -> np.ndarr
         if norm_sq(mode.k) <= dst.n_cut**2:
             out[dst.mode_index(mode)] = coeffs[src.mode_index(mode)]
     return out
+
+
+def cone_point(rng, inside: np.ndarray, alpha: float) -> np.ndarray:
+    """One random unit vector on the cone over the boolean mask ``inside``.
+
+    A fraction t of its squared norm, uniform in [alpha, 1], lies inside the
+    mask and the rest outside; all of it when the mask covers every index.
+    """
+    n_in = np.count_nonzero(inside)
+    xp = rng.standard_normal(n_in)
+    xp /= np.linalg.norm(xp)
+    phi = np.zeros(inside.size)
+    if n_in == inside.size:
+        phi[inside] = xp
+        return phi
+    t = alpha + (1.0 - alpha) * rng.random()
+    xq = rng.standard_normal(inside.size - n_in)
+    xq /= np.linalg.norm(xq)
+    phi[inside] = math.sqrt(t) * xp
+    phi[~inside] = math.sqrt(1.0 - t) * xq
+    return phi
+
+
+def looped_sampled_inf(matrix, cone, samples: int, seed) -> float:
+    """The sampled cone infimum of ``cone_infimum``, one quadratic form per
+    candidate: the minimal P-direction, the boundary candidate mixing it with
+    the minimal Q-direction, then ``samples`` draws of ``cone_point``."""
+    g = matrix.symmetrized()
+    in_p = np.array([norm_sq(m.k) <= cone.n * cone.n for m in matrix.modes])
+    p_idx, q_idx = np.flatnonzero(in_p), np.flatnonzero(~in_p)
+    vp = np.zeros(len(g))
+    vp[p_idx] = np.linalg.eigh(g[np.ix_(p_idx, p_idx)])[1][:, 0]
+    candidates = [vp]
+    if q_idx.size:
+        vq = np.zeros(len(g))
+        vq[q_idx] = np.linalg.eigh(g[np.ix_(q_idx, q_idx)])[1][:, 0]
+        candidates.append(math.sqrt(cone.alpha) * vp + math.sqrt(1.0 - cone.alpha) * vq)
+    rng = np.random.default_rng(seed)
+    candidates.extend(cone_point(rng, in_p, cone.alpha) for _ in range(samples))
+    return min(float(phi @ g @ phi) for phi in candidates)

@@ -11,6 +11,10 @@ checks a run against ``tests/data/pinned_values.json``.
 Regenerate the file, after a change that is meant to move the numbers, with
 
     PYTHONPATH=src python tests/pin_values.py
+
+and list, before that, every value a run moves past its pin with
+
+    PYTHONPATH=src python tests/pin_values.py --diff
 """
 
 from __future__ import annotations
@@ -20,9 +24,12 @@ import csv
 import hashlib
 import io
 import json
+import numbers
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 from torusmhd.cli import main
 
@@ -66,6 +73,37 @@ def collect(workdir: Path) -> dict:
     return pinned
 
 
+#: A pinned list of numbers matches within RTOL of its largest magnitude.
+RTOL = 1e-12
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def mismatches(got, want, where: str) -> list[str]:
+    """Where ``got`` departs from the pinned ``want``, one line each."""
+    if isinstance(want, dict):
+        if not isinstance(got, dict) or sorted(got) != sorted(want):
+            return [f"{where}: keys {sorted(got) if isinstance(got, dict) else got} "
+                    f"!= {sorted(want)}"]
+        return [m for key in want for m in mismatches(got[key], want[key], f"{where}/{key}")]
+    if isinstance(want, list) and want and all(map(_is_number, want)):
+        if not (isinstance(got, list) and len(got) == len(want) and all(map(_is_number, got))):
+            return [f"{where}: {got!r:.80} is not a list of {len(want)} numbers"]
+        a, b = np.array(got, dtype=float), np.array(want, dtype=float)
+        err, bound = np.max(np.abs(a - b)), RTOL * np.max(np.abs(b))
+        return [] if err <= bound else [f"{where}: off by {err:.3g}, bound {bound:.3g}"]
+    if isinstance(want, list):
+        if not isinstance(got, list) or len(got) != len(want):
+            return [f"{where}: {got!r:.80} is not a list of {len(want)} entries"]
+        return [m for i, (g, w) in enumerate(zip(got, want))
+                for m in mismatches(g, w, f"{where}[{i}]")]
+    if _is_number(want):
+        return mismatches([got] if _is_number(got) else got, [want], where)
+    return [] if got == want and type(got) is type(want) else [f"{where}: {got!r} != {want!r}"]
+
+
 def regenerate() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         pinned = collect(Path(tmp))
@@ -77,5 +115,17 @@ def regenerate() -> None:
     print(f"wrote {PINNED} ({len(pinned)} runs)", file=sys.stderr)
 
 
+def diff() -> int:
+    """Print every mismatch of a fresh run against the pinned file; 1 if any."""
+    with tempfile.TemporaryDirectory() as tmp:
+        found = mismatches(collect(Path(tmp)), json.loads(PINNED.read_text()), "pinned")
+    print("\n".join(found) or "no mismatches")
+    return 1 if found else 0
+
+
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--diff"]:
+        sys.exit(diff())
+    if sys.argv[1:]:
+        sys.exit(f"usage: {sys.argv[0]} [--diff]")
     regenerate()

@@ -28,6 +28,8 @@ from torusmhd.lattice import COS, SIN, VELOCITY, MAGNETIC, make_mode, norm_sq
 from torusmhd import malliavin
 from torusmhd.diagnostics import cone_seed
 from torusmhd.malliavin import (
+    _GOLDEN_STEPS,
+    _cone_points,
     ONE_THREAD_MAX_N_CUT,
     ConeSpec,
     FrozenPath,
@@ -45,7 +47,13 @@ from torusmhd.malliavin import (
 )
 from torusmhd.reachability import ForcedSet, check_hypothesis
 
-from oracles import adjoint_profile, triad_jacobian
+from oracles import (
+    adjoint_profile,
+    bincount_step_matrix,
+    cone_point,
+    looped_sampled_inf,
+    triad_jacobian,
+)
 
 EXAMPLE_Z0 = [(0, 1), (1, 1), (1, 0), (1, 2)]
 
@@ -53,7 +61,7 @@ EXAMPLE_Z0 = [(0, 1), (1, 1), (1, 0), (1, 2)]
 def nonlinear_path(seed=11, horizon=0.2, n_cut=3, scale=0.4):
     basis = ModeBasis(n_cut)
     params = EquationParams(alpha=1.5, beta=1.5, n_cut=n_cut, dt=1e-3)
-    noise = NoiseSpec.uniform(EXAMPLE_Z0, 1.0)
+    noise = NoiseSpec.uniform([k for k in EXAMPLE_Z0 if norm_sq(k) <= n_cut**2], 1.0)
     rng = np.random.default_rng(seed)
     u0 = SpectralState(basis, scale * rng.standard_normal(basis.dim))
     rec = simulate(u0, params, noise, horizon, seed=seed, snapshot_stride=1,
@@ -308,6 +316,39 @@ class TestStreamedSweep:
             want = path.decay[:, None] * (np.eye(basis.dim) - path.dt * jac)
             assert np.max(np.abs(path.step_matrix(n) - want)) < 1e-14
 
+    @pytest.mark.parametrize("n_cut", [2, 3, 4, 5, 6])
+    def test_step_matrix_equals_the_bincount_build(self, n_cut):
+        path, *_ = nonlinear_path(n_cut=n_cut, horizon=0.1)
+        for n in range(path.n_steps):
+            assert np.array_equal(path.step_matrix(n), bincount_step_matrix(path, n))
+
+    @pytest.mark.parametrize("regime", ["linear", "n_cut 1"])
+    def test_step_matrix_without_coupling_is_the_decay(self, regime):
+        # at n_cut = 1 no two modes couple: the triad table has no entries
+        if regime == "linear":
+            path, *_ = linear_path(horizon=0.01, dt=1e-3)
+        else:
+            path, *_ = nonlinear_path(n_cut=1, horizon=0.01)
+        for n in range(path.n_steps):
+            assert np.array_equal(path.step_matrix(n), np.diag(path.decay))
+
+    @pytest.mark.parametrize("n_level", [None, 1])
+    def test_gram_block_size_moves_only_the_summation_order(self, n_level, monkeypatch):
+        # 201 levels in blocks of one level, of 7 (the last one part-filled),
+        # of the default size and in one block larger than the whole sweep
+        path, basis, params, noise, u0, rng = nonlinear_path()
+        probes = rng.standard_normal((2, basis.dim))
+        want = adjoint_profile(path, probes, 0.0, 0.2)[:, :, noise.mode_indices(basis)]
+        mats = []
+        for block in (1, 7, malliavin.GRAM_BLOCK, path.n_steps + 2):
+            monkeypatch.setattr(malliavin, "GRAM_BLOCK", block)
+            mats.append(assemble_malliavin(path, noise, n_level=n_level, probes=probes))
+        one = mats[0].gram
+        for mat in mats:
+            assert np.array_equal(mat.probe_profiles, want)
+            assert np.array_equal(mat.gram, mat.gram.T)
+            assert np.max(np.abs(mat.gram - one)) <= 1e-14 * np.max(np.abs(one))
+
     def test_memory_independent_of_step_count(self):
         # the buffered levels, (n + 1, 96, 96) float64, would take 37 MB at
         # T=0.5 and 147 MB at T=2
@@ -416,6 +457,39 @@ class TestConeInfimum:
             assert rep.dual_lower_bound <= rep.sampled_inf
             tol = 1e-9 * np.trace(mat.gram) / len(mat.gram)
             assert rep.dual_lower_bound >= self.grid_and_brent_dual(mat, cone) - tol
+
+    @pytest.mark.parametrize("n", [1, 2, 3])  # n = 3 leaves Q empty
+    def test_batched_candidates_keep_the_looped_infimum(self, gram_matrices, n):
+        cone = ConeSpec(alpha=0.3, n=n)
+        for mat in gram_matrices:
+            got = cone_infimum(mat, cone, samples=40, seed=9).sampled_inf
+            want = looped_sampled_inf(mat, cone, 40, 9)
+            assert abs(got - want) <= 1e-14 * np.trace(mat.gram)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_cone_points_are_the_per_sample_draws(self, n):
+        basis = ModeBasis(3)
+        inside = np.array([norm_sq(m.k) <= n * n for m in basis.modes()])
+        got = _cone_points(np.random.default_rng(5), inside, 0.3, np.zeros((30, basis.dim)))
+        rng = np.random.default_rng(5)
+        assert np.array_equal(got, [cone_point(rng, inside, 0.3) for _ in range(30)])
+        state = sample_cone_state(basis, ConeSpec(alpha=0.3, n=n), np.random.default_rng(5))
+        assert np.array_equal(state.coeffs, got[0])
+
+    def test_one_spectrum_per_matrix(self, gram_matrices, monkeypatch):
+        base = gram_matrices[-1]
+        mat = MalliavinMatrix(gram=base.gram, modes=base.modes, mode_indices=base.mode_indices,
+                              horizon=base.horizon, quadrature_steps=base.quadrature_steps)
+        real, calls = np.linalg.eigvalsh, []
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or real(a))
+        rep = cone_infimum(mat, ConeSpec(alpha=0.5, n=1), samples=10, seed=3)
+        eigs = mat.eigenvalues()
+        # the mu = 0 bound and the spectrum share one eigensolve beside the
+        # dual's two starting points and its golden-section steps
+        assert len(calls) == 2 + _GOLDEN_STEPS + 1
+        assert mat.eigenvalues() is eigs
+        assert np.array_equal(eigs, real(mat.symmetrized()))
+        assert rep.dual_lower_bound >= eigs[0]
 
     def test_bad_cone_spec_rejected(self):
         with pytest.raises(ValueError):
