@@ -11,10 +11,7 @@ The quadratic advection term B(U, V) has two independent realizations:
                       built once per n_cut from the symbolic advection engine;
                       B(U, V) is one gather, multiply and ``bincount``.  The
                       same entries, merged, assemble the dense linearization
-                      whose transpose is the adjoint; merged once more over
-                      unordered pairs and sorted by output, they give the
-                      time loop's B(U, U) as two gathers, a multiply and one
-                      ``np.add.reduceat``;
+                      whose transpose is the adjoint;
   * the grid route  - the conservative (divergence) form div(u (x) v) of
                       the advection, which holds because the advecting
                       fields are divergence-free, in real arithmetic on the
@@ -33,9 +30,8 @@ The quadratic advection term B(U, V) has two independent realizations:
                       with the boundary case excluded).
 
 Each route is called by name, ``bilinear_convolution`` or
-``bilinear_transform``.  The time loop takes its B(U, U) from ``_route``,
-where n_cut alone picks the route: the table up to ``TRIAD_MAX_N_CUT`` and
-the grid above it.
+``bilinear_transform``.  The time loop takes its B(U, U) from the grid, as
+``transform_square``, at every n_cut, and never builds a triad table.
 
 Time stepping is an exponential (integrating-factor) Euler-Maruyama scheme:
 the fractional dissipation factors e^{-|k|^{2a} dt} are applied exactly, the
@@ -52,11 +48,11 @@ treat the rows independently, so a replica batch steps R trajectories for
 the Python overhead of one, and each row equals the lone trajectory on its
 stream bit for bit.  ``simulate`` is the one-trajectory case with its
 record; ``ensemble`` returns the batch's snapshots as one array, or only
-what a ``reduce`` keeps of them.  The loop's contract: the route of B is
-chosen once per run from n_cut, each block of increments is scaled to noise
-kicks in one expression, each step writes its state in place into a
-preallocated block of steps, every block is tested for finiteness once, and
-each block's snapshots, reduced if asked, are written into one output array.
+what a ``reduce`` keeps of them.  The loop's contract: each block of
+increments is scaled to noise kicks in one expression, each step writes its
+state in place into a preallocated block of steps, every block is tested for
+finiteness once, and each block's snapshots, reduced if asked, are written
+into one output array.
 """
 
 from __future__ import annotations
@@ -424,9 +420,9 @@ def bilinear_transform(basis: ModeBasis, cu: np.ndarray, cv: np.ndarray) -> np.n
     retained modes, where the derivative and the projection are the weights
     i q_d dir0_c(q), four real terms per coefficient.
     Broadcasts over the leading axes of both arguments, and runs a batch in
-    blocks of up to ``SQUARE_BLOCK`` rows, as the squares do.  This is the
-    general form, and the oracle of ``transform_square``, which the time loop
-    calls for B(U, U).
+    blocks of up to ``SQUARE_BLOCK`` rows, as the square does.  This is the
+    general form, and the oracle of ``transform_square``, the time loop's
+    B(U, U) at every n_cut.
     """
     slots = lambda c: c.reshape(len(c), 2, -1)  # (rows, velocity/magnetic, 2 n_k)
 
@@ -484,23 +480,10 @@ def _pair_projection(k: Vec, m: int, l: Vec, m2: int) -> tuple:
     return tuple((mode.k, mode.parity, coeff) for mode, coeff in expansion.coefficients.items())
 
 
-#: Largest n_cut at which the simulator takes B from the triad table.  Its
-#: work grows like n_cut^4, the grid route's like n_cut^3 in its matrix
-#: products plus a fixed per-call overhead.  B(U, U) per state on a 2-vCPU x86
-#: VM, ``TriadTable.squarer`` against ``transform_square``, both in blocks of
-#: 16 rows, medians of three fresh processes: a lone state 22-34 against 43-53
-#: us at n_cut=4 and 57-78 against 47-55 us at 5; a row of a 120-row batch
-#: 17-22 against 11-14 us at 4 and 64-70 against 13-15 us at 5.  At 5 both
-#: favour the grid, so the table stops at 4, where a lone state still favours
-#: the table and a batch the grid.  The route depends on n_cut only, so that
-#: a batched row equals the lone state bit for bit.
-TRIAD_MAX_N_CUT = 4
-
-
-#: Rows of a batch per pass of B, on either route.  A block's temporaries
-#: stay small; those of a whole 120-row batch (4.5 MB of gathered terms at
-#: n_cut = 4, 7 MB of grid planes at n_cut = 10) are, in a fresh process,
-#: handed back to the system after each step and faulted in again.
+#: Rows of a batch per pass of the grid route.  A block's temporaries stay
+#: small; those of a whole 120-row batch (7 MB of grid planes at n_cut = 10)
+#: are, in a fresh process, handed back to the system after each step and
+#: faulted in again.
 #: ``bilinear_transform`` per row of a 120-row batch on a 2-vCPU x86 VM,
 #: medians in three fresh processes: 127-132 us in blocks against 162-229 us
 #: unblocked at n_cut = 10, and 25-26 against 50-71 us at n_cut = 5.
@@ -511,11 +494,13 @@ def _in_row_blocks(fn, *args: np.ndarray) -> np.ndarray:
     """``fn`` of states (dim,) or batches (..., dim) of one shape, called on
     (k, dim) blocks of at most ``SQUARE_BLOCK`` rows of each argument.
 
-    A lone state is the one-row block; rows are independent, so blocking
-    changes no bit.
+    A lone state is the one-row block, and a batch of no rows is its own
+    (empty) result; rows are independent, so blocking changes no bit.
     """
     shape = np.shape(args[0])
     rows = [np.reshape(a, (-1, shape[-1])) for a in args]
+    if not len(rows[0]):
+        return np.zeros(shape)
     if len(rows[0]) <= SQUARE_BLOCK:
         return fn(*rows).reshape(shape)
     blocks = range(0, len(rows[0]), SQUARE_BLOCK)
@@ -542,8 +527,8 @@ class TriadTable:
     The entries are exact mode-pair projections from the symbolic advection
     engine, so this route shares no code with the grid transforms.  The same
     entries give the linearization at a state as a dense matrix, whose
-    transpose is then the exact adjoint, and B(U, U) for the time loop
-    (``square``).
+    transpose is then the exact adjoint.  The time loop does not use them: its
+    B(U, U) is ``transform_square``.
     """
 
     def __init__(self, n_cut: int):
@@ -581,47 +566,6 @@ class TriadTable:
         keys, inverse = np.unique(cell * dim + state, return_inverse=True)
         self.jac_cell, self.jac_state = np.divmod(keys, dim)
         self.jac_coeff = np.bincount(inverse.ravel(), coeff, len(keys))
-        # L(U) U = 2 B(U, U): merge those entries once more over the unordered
-        # pair {column, state}, sorted by row, so B(U, U)_i = sum sq_coeff *
-        # U[sq_first] * U[sq_second] over the entries from sq_starts[i].  Entries
-        # that merge to exactly 0 are kept: at an overflow they give inf * 0 = NaN,
-        # as the unmerged triads of ``apply`` do.  Every row has entries from
-        # n_cut = 2 on; at n_cut = 1 no two modes couple and the list is empty.
-        row, col = np.divmod(self.jac_cell, dim)
-        lo, hi = np.minimum(col, self.jac_state), np.maximum(col, self.jac_state)
-        keys, inverse = np.unique((row * dim + lo) * dim + hi, return_inverse=True)
-        row, pair = np.divmod(keys, dim * dim)
-        self.sq_first, self.sq_second = np.divmod(pair, dim)
-        self.sq_coeff = 0.5 * np.bincount(inverse.ravel(), self.jac_coeff, len(keys))
-        self.sq_starts = np.searchsorted(row, np.arange(dim))
-
-    def squarer(self):
-        """B(U, U) for a state (dim,) or a batch (..., dim), as a function: two
-        gathers and one ``reduceat`` per block of rows.
-
-        The function keeps its two gather buffers between calls.  They hold
-        the largest block of rows seen so far and are filled in place by
-        ``np.take(..., out=..., mode="clip")``, so a time loop that binds one
-        squarer per run allocates them once: allocated per call, the (16,
-        4704) blocks at n_cut = 4 are, in a fresh process, handed back to the
-        system and faulted in again at every step.
-        """
-        buffers = np.empty((2, 0, self.sq_coeff.size))
-
-        def square_rows(rows: np.ndarray) -> np.ndarray:
-            nonlocal buffers
-            if not self.sq_coeff.size:
-                return np.zeros(rows.shape)
-            if len(rows) > buffers.shape[1]:
-                buffers = np.empty((2, len(rows), self.sq_coeff.size))
-            terms, other = buffers[:, :len(rows)]
-            np.take(rows, self.sq_first, -1, out=terms, mode="clip")
-            np.take(rows, self.sq_second, -1, out=other, mode="clip")
-            terms *= other
-            terms *= self.sq_coeff  # last: (c U_j) U_k would overflow at another step
-            return np.add.reduceat(terms, self.sq_starts, -1)
-
-        return partial(_in_row_blocks, square_rows)
 
     def apply(self, cu: np.ndarray, cv: np.ndarray) -> np.ndarray:
         """B(U, V), broadcast over the leading axes of both arguments."""
@@ -642,19 +586,6 @@ def triad_table(n_cut: int) -> TriadTable:
 def bilinear_convolution(basis: ModeBasis, cu: np.ndarray, cv: np.ndarray) -> np.ndarray:
     """B(U, V) from the exact triad table; broadcasts over leading axes."""
     return triad_table(basis.n_cut).apply(cu, cv)
-
-
-def _route(basis: ModeBasis):
-    """The time loop's B(U, U) as a function, chosen from n_cut alone.
-
-    Up to ``TRIAD_MAX_N_CUT`` it is a ``TriadTable.squarer`` of its own, whose
-    gather buffers live as long as the run that bound it; above, it is
-    ``transform_square``, not ``bilinear_transform`` on (U, U).  That name is
-    looked up each time this runs, so a run started after a wrapper is
-    installed on it binds the wrapper."""
-    if basis.n_cut <= TRIAD_MAX_N_CUT:
-        return triad_table(basis.n_cut).squarer()
-    return partial(transform_square, basis)
 
 
 # ---------------------------------------------------------------------------
@@ -742,7 +673,7 @@ def _integrate(basis: ModeBasis, coeffs: np.ndarray, t0: float,
     decay = np.tile(np.exp(-lam * dt), (n_rows, 1)).reshape(shape)
     # flat indices of every row's forced entries, in the row-major order of a kick
     forced = (np.arange(n_rows)[:, None] * basis.dim + idx).ravel()
-    square = _route(basis) if params.nonlinearity_enabled else None
+    square = partial(transform_square, basis) if params.nonlinearity_enabled else None
     steps = max(1, min(n_steps, STEP_BLOCK // max(1, coeffs.size) - 1))
     block = np.empty((steps + 1,) + shape)
     kicks = np.full((steps,) + shape, -0.0)

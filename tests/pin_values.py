@@ -1,8 +1,9 @@
 """Pinned values of every CLI subcommand, and the script that regenerates them.
 
 Each config subcommand runs on ``config.example.json`` cut down to
-``run.T = 0.2``, 20 replicas and 2 Malliavin paths, at n_cut 4 (the triad
-route of B) and at n_cut 6 (the grid route, with ``analysis.basis_level`` 2);
+``run.T = 0.2``, 20 replicas and 2 Malliavin paths, at n_cut 4 (the
+example's own truncation) and at n_cut 6 (with ``analysis.basis_level`` 2, so
+the Malliavin sweep covers a part of the basis);
 ``bracket verify --kmax 1`` and ``reach`` run once.  ``collect`` returns
 every data artifact parsed: a JSON artifact as its document, a CSV artifact
 as its header and one list per column.  ``tests/test_pinned_values.py``

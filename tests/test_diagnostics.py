@@ -216,7 +216,7 @@ class TestMixing:
 class TestBatchedEnsembles:
     """One batched time loop against per-seed simulate and the same reduction."""
 
-    @pytest.mark.parametrize("n_cut", [3, 9])  # triad route, FFT route
+    @pytest.mark.parametrize("n_cut", [3, 9])
     def test_matches_per_seed_simulate(self, n_cut):
         basis = ModeBasis(n_cut)
         params = EquationParams(alpha=1.5, beta=1.5, n_cut=n_cut, dt=0.01)

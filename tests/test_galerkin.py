@@ -1,7 +1,6 @@
 """Integrator exactness, bilinear form equivalence, and the energy identity."""
 
 import math
-from functools import partial
 
 import numpy as np
 import pytest
@@ -14,7 +13,6 @@ from torusmhd.galerkin import (
     NoiseSpec,
     SimulationError,
     SpectralState,
-    TRIAD_MAX_N_CUT,
     bilinear_convolution,
     bilinear_transform,
     default_grid,
@@ -168,26 +166,6 @@ class TestBilinear:
             bc = bilinear_convolution(basis, cu, cv)
             assert np.max(np.abs(bt - bc)) < 1e-10
 
-    @pytest.mark.parametrize("n_cut, named", [
-        pytest.param(TRIAD_MAX_N_CUT, lambda basis: triad_table(basis.n_cut).squarer(),
-                     id="table"),
-        pytest.param(TRIAD_MAX_N_CUT + 1, lambda basis: partial(transform_square, basis),
-                     id="grid"),
-    ])
-    def test_route_is_the_named_square(self, n_cut, named):
-        # the time loop's B(U, U) switches at TRIAD_MAX_N_CUT: on both sides it
-        # is the named square bit for bit and agrees with the triads, on a
-        # lone state and on a 37-row batch, whose blocks of 16 end in a
-        # partial one
-        basis = ModeBasis(n_cut)
-        square = named(basis)
-        lone, *batch = np.random.default_rng(5 + n_cut).standard_normal((38, basis.dim))
-        for c in (lone, np.array(batch)):
-            got = galerkin._route(basis)(c)
-            assert np.array_equal(got, square(c))
-            want = bilinear_convolution(basis, c, c)
-            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-
     @pytest.mark.parametrize("axis", [0, 1])
     def test_edge_supported_states_match_triads(self, axis):
         # k1 = 0 modes sit on the edge column of the half spectrum, whose
@@ -203,7 +181,7 @@ class TestBilinear:
             assert np.max(np.abs(bilinear_transform(basis, a, b) - want)) < 1e-12
         assert np.max(np.abs(bilinear_convolution(basis, cu, cv))) > 0.1
 
-    @pytest.mark.parametrize("n_cut", range(5, 11))
+    @pytest.mark.parametrize("n_cut", range(2, 11))
     def test_grid_square_matches_general_form_and_triads(self, n_cut):
         # three products against eight, and against the exact triads, on a
         # random state and on states supported on the k1 = 0 column and on
@@ -224,7 +202,7 @@ class TestBilinear:
     def test_grid_route_matches_numpy_fft_oracle(self, n_cut):
         # the divergence form from numpy's irfft2 and rfft2 with the weights
         # i q_d omega_c written out, none of the grid route's tables: pins
-        # every folded sign and weight of both squares' passes, on a batch
+        # every folded sign and weight of both grid forms' passes, on a batch
         basis = ModeBasis(n_cut)
         cu, cv = np.random.default_rng(70 + n_cut).standard_normal((2, 3, basis.dim))
         for got, want in ((bilinear_transform(basis, cu, cv), fft_bilinear(basis, cu, cv)),
@@ -238,9 +216,11 @@ class TestBilinear:
         norm = np.linalg.norm(c)
         assert abs(transform_square(basis, c) @ c) <= 1e-12 * max(norm**3, 1.0)
 
-    @pytest.mark.parametrize("n_cut", [5, 9, 10, 12, 16])
+    @pytest.mark.parametrize("n_cut", [1, 2, 3, 4, 5, 9, 10, 12, 16])
     def test_grid_route_batched_rows_equal_lone_calls(self, n_cut):
-        # 5 rows, and 120 rows: the ensemble size of ``clt`` and ``mix``
+        # 5 rows, and 120 rows: the ensemble size of ``clt`` and ``mix``; 5 is
+        # one partial block of ``SQUARE_BLOCK`` rows and 120 ends in one
+        assert 5 < galerkin.SQUARE_BLOCK < 120 and 120 % galerkin.SQUARE_BLOCK
         basis = ModeBasis(n_cut)
         rng = np.random.default_rng(n_cut)
         for rows in (5, 120):
@@ -254,24 +234,17 @@ class TestBilinear:
             for row in range(rows):
                 assert np.array_equal(batch[row], transform_square(basis, cu[row]))
 
-    @pytest.mark.parametrize("n_cut", range(1, 7))
-    def test_square_matches_triads(self, n_cut):
-        # the time loop's B(U, U) from the output-sorted pair list, against the
-        # unmerged triads; batched rows, 37 of them so that the blocks of 16 end
-        # in a partial one, equal lone calls bit for bit; one squarer serves
-        # every call, so its gather buffers grow from one row to a block and
-        # are then reused by the lone calls
-        table = triad_table(n_cut)
-        square = table.squarer()
-        assert galerkin.SQUARE_BLOCK < 37 and 37 % galerkin.SQUARE_BLOCK
-        rng = np.random.default_rng(40 + n_cut)
-        lone, *batch = rng.standard_normal((38, ModeBasis(n_cut).dim))
-        batch = np.array(batch)
-        for c in (lone, batch):
-            want = table.apply(c, c)
-            assert np.max(np.abs(square(c) - want)) <= 1e-14 * np.max(np.abs(want))
-        assert all(np.array_equal(row, square(c)) for row, c in zip(square(batch), batch))
-        assert np.array_equal(table.squarer()(batch), square(batch))
+    @pytest.mark.parametrize("n_cut", [2, 5])
+    def test_grid_route_takes_an_empty_batch(self, n_cut):
+        # a batch of no rows is a batch of no rows of B, and an ensemble of no
+        # streams steps through it
+        basis = ModeBasis(n_cut)
+        none = np.zeros((0, basis.dim))
+        assert transform_square(basis, none).shape == (0, basis.dim)
+        assert bilinear_transform(basis, none, none).shape == (0, basis.dim)
+        times, states = ensemble(zero_state(basis), make_params(n_cut=n_cut),
+                                 NoiseSpec.uniform([(0, 1)]), 0.005, seed=0, streams=[])
+        assert states.shape == (len(times), 0, basis.dim)
 
     def test_merged_jacobian_matches_unmerged_triads(self):
         # apply sums the unmerged triads, so its rows L e_j = B(U, e_j) + B(e_j, U)
@@ -284,14 +257,29 @@ class TestBilinear:
         pairs = table.jac_cell * basis.dim + table.jac_state
         assert len(np.unique(pairs)) == len(pairs) < 8 * len(table.coeff)  # 8 terms per triad
 
-    def test_linear_regime_never_builds_triads(self):
-        basis = ModeBasis(5)
-        params = make_params(n_cut=5, nonlinearity_enabled=False)
+    @pytest.mark.parametrize("nonlinear", [pytest.param(False, id="linear"),
+                                           pytest.param(True, id="grid")])
+    def test_route_is_the_named_square(self, monkeypatch, nonlinear):
+        # the time loop's B(U, U) is ``transform_square``, once per step of a
+        # lone state or of a batch, and no run builds or looks up a triad
+        # table; a run binds the name when it starts, so it binds the wrapper
+        basis = ModeBasis(3)
+        params = make_params(n_cut=3, nonlinearity_enabled=nonlinear)
         noise = NoiseSpec.uniform([(0, 1)])
+        calls = []
+
+        def counted(basis, cu):
+            calls.append(cu.shape)
+            return transform_square(basis, cu)
+
+        monkeypatch.setattr(galerkin, "transform_square", counted)
         lookups = lambda: triad_table.cache_info().hits + triad_table.cache_info().misses
         before = lookups()
         simulate(zero_state(basis), params, noise, 0.01, seed=0)
+        ensemble(zero_state(basis), params, noise, 0.01, seed=0, streams=[0, 1, 2])
         assert lookups() == before
+        want = [(basis.dim,)] * 10 + [(3, basis.dim)] * 10 if nonlinear else []
+        assert calls == want
 
     def test_skew_symmetry_both_paths(self):
         basis = ModeBasis(4)
@@ -428,19 +416,21 @@ class TestSimulate:
 
     @pytest.mark.parametrize("amplitude, noise_amp, streams, stride, block, steps, expect", [
         pytest.param(1e200, 1.0, [4, 7], 1, None, None, (1, 4), id="first_step"),
-        pytest.param(0.0, 10**103.4, [0, 1, 5, 7], 2, None, None, (3, 5),
+        pytest.param(0.0, 10**77.95, [0, 1, 9, 7], 2, None, None, (3, 9),
                      id="off_snapshot_grid"),
-        pytest.param(0.0, 10**103.4, [0, 1, 5, 7], 1, 2, None, (3, 5), id="second_noise_block"),
-        pytest.param(0.0, 10**103.4, [0, 1, 5, 7], 1, None, 2, (3, 5), id="first_of_step_block"),
-        pytest.param(0.0, 10**103.4, [0, 1, 5, 7], 2, None, 3, (3, 5), id="last_of_step_block"),
-        pytest.param(0.0, 10**103.4, [0, 1, 5, 7], 1, None, 1, (3, 5), id="one_step_blocks"),
+        pytest.param(0.0, 10**77.95, [0, 1, 9, 7], 1, 2, None, (3, 9), id="second_noise_block"),
+        pytest.param(0.0, 10**77.95, [0, 1, 9, 7], 1, None, 2, (3, 9), id="first_of_step_block"),
+        pytest.param(0.0, 10**77.95, [0, 1, 9, 7], 2, None, 3, (3, 9), id="last_of_step_block"),
+        pytest.param(0.0, 10**77.95, [0, 1, 9, 7], 1, None, 1, (3, 9), id="one_step_blocks"),
         pytest.param(1e200, None, [4, 7], 1, None, 2, (1, 4), id="empty_noise"),
         pytest.param(1e200, 1.0, [], 1, None, 2, None, id="empty_streams"),
     ])
     def test_blowup_matches_per_step_reference(self, monkeypatch, amplitude, noise_amp,
                                                streams, stride, block, steps, expect):
-        # noise of amplitude 10^103.4 overflows stream 5 at step 3 and the
-        # other streams at step 4; the 1e200 states blow up in the first step.
+        # noise of amplitude 10^77.95 overflows stream 9, in row 2, at step 3
+        # and the other streams at step 4: below 10^77.85 no stream overflows
+        # at step 3, and from 10^78.05 streams 1, 5 and 7 do too.  The 1e200
+        # states blow up in the first step.
         # ``steps`` is the length of a block of steps: 2 puts step 3 first in
         # its block, 3 puts it last
         basis = ModeBasis(2)
@@ -496,7 +486,6 @@ class TestSimulate:
         assert snapshot_steps(1, 5) == [0, 1]
 
     def test_ensemble_rows_are_the_lone_trajectories(self):
-        # n_cut=3 steps on the triad table, n_cut=6 on the grid route
         noise = NoiseSpec.uniform([(0, 1), (1, 1)], 1.0)
         for n_cut in (3, 6):
             basis = ModeBasis(n_cut)
@@ -519,7 +508,7 @@ class TestSimulate:
         noise = NoiseSpec.uniform([(0, 1), (1, 1)], 1.0)
         streams = [2, 0, 5]
         reduce = lambda states: np.stack([(states**2).sum(-1), np.tanh(states[..., 1])], -1)
-        for n_cut in (3, 5):  # triad route, grid route
+        for n_cut in (3, 5):
             basis = ModeBasis(n_cut)
             params = make_params(n_cut=n_cut)
             u0 = SpectralState(basis, 0.2 * np.random.default_rng(4).standard_normal(basis.dim))
@@ -547,8 +536,8 @@ class TestSimulate:
 
     @pytest.mark.parametrize("n_cut, nonlinear, given", [
         pytest.param(2, False, False, id="linear"),
-        pytest.param(3, True, False, id="triad_route"),
-        pytest.param(5, True, False, id="grid_route"),
+        pytest.param(3, True, False, id="nonlinear_n3"),
+        pytest.param(5, True, False, id="nonlinear_n5"),
         pytest.param(3, True, True, id="given_increments"),
     ])
     def test_simulate_equals_chained_steps(self, n_cut, nonlinear, given):
