@@ -24,6 +24,7 @@ import hashlib
 import json
 import sys
 import time
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -380,7 +381,9 @@ def cmd_moment(cfg: ExperimentConfig, basis: ModeBasis, out: OutputDir) -> None:
 # Parser and entry point.
 # ---------------------------------------------------------------------------
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="torusmhd",
         description="Hypoelliptic machinery of stochastically forced fractional "

@@ -129,8 +129,8 @@ def cone_seed(master, path: int) -> np.random.SeedSequence:
     A spawned SeedSequence zero-pads its entropy to four 32-bit words before
     appending the spawn key, so it hashes at least six words, while a
     ``trajectory_seed`` stream with master below 2**32 (``SEED_BOUND``) and
-    index below 2**64 hashes at most four: the two families never share a
-    stream.
+    index below 2**64 (``STREAM_BOUND``, which ``trajectory_seed`` enforces)
+    hashes at most four: the two families never share a stream.
     """
     if not 0 <= int(master) < SEED_BOUND:
         raise ValueError(f"master seed must be in [0, 2**32), got {master}")

@@ -52,7 +52,10 @@ what a ``reduce`` keeps of them.  The loop's contract: each block of
 increments is scaled to noise kicks in one expression, each step writes its
 state in place into a preallocated block of steps, every block is tested for
 finiteness once, and each block's snapshots, reduced if asked, are written
-into one output array.
+into one output array.  ``ensemble`` seeds its rows' generators through
+``trajectory_rngs``, which hashes all their ``SeedSequence`` states in one
+vectorized pass; they draw the streams of ``trajectory_seed`` but cannot
+``spawn``.
 """
 
 from __future__ import annotations
@@ -278,7 +281,8 @@ class ModeBasis:
         padded[..., :-1] = c
         band = np.take(padded, self._band, -1)                           # (..., 2, cols, 4 cols)
         band *= self._band_weight
-        g = band.reshape(lead[:-1] + (-1, 4 * cols)) @ self._field_x1     # (..., 2 cols, 2m)
+        rows = math.prod(lead[-1:]) * 2 * cols  # no -1: a batch of no states has size 0
+        g = band.reshape(lead[:-1] + (rows, 4 * cols)) @ self._field_x1   # (..., 2 cols, 2m)
         return self._field_x2 @ g.reshape(lead + (2, 2 * cols, self.grid))
 
     def _retained(self, planes: np.ndarray) -> np.ndarray:
@@ -292,8 +296,9 @@ class ModeBasis:
         """
         lead = planes.shape[:-2]
         y = self._sum_x2 @ planes                                        # (..., P, 2 cols, m)
-        sums = y.reshape(lead[:-1] + (-1, 2 * self.grid)) @ self._sum_x1
-        return sums.reshape(lead + (self.n_cut + 1, -1))
+        rows = math.prod(lead[-1:]) * (self.n_cut + 1)
+        sums = y.reshape(lead[:-1] + (rows, 2 * self.grid)) @ self._sum_x1
+        return sums.reshape(lead + (self.n_cut + 1, sums.shape[-1]))
 
     def gather(self, fields: np.ndarray) -> np.ndarray:
         """Physical field (..., 2, m, m) -> slot coefficients (..., 2*n_k).
@@ -311,7 +316,8 @@ def _fold(sums: np.ndarray, index: np.ndarray, weight: np.ndarray) -> np.ndarray
     index; the terms t are added in order, so a batched row adds as a lone
     call does.
     """
-    terms = np.take(sums.reshape(sums.shape[:-3] + (-1,)), index, -1)  # (..., T, out)
+    flat = sums.reshape(sums.shape[:-3] + (math.prod(sums.shape[-3:]),))
+    terms = np.take(flat, index, -1)                                   # (..., T, out)
     terms *= weight
     out = np.add(terms[..., 0, :], terms[..., 1, :])
     for t in range(2, len(index)):
@@ -596,15 +602,88 @@ def bilinear_convolution(basis: ModeBasis, cu: np.ndarray, cv: np.ndarray) -> np
 #: 32-bit words and zero-pads its entropy to four words, so stream 0 of the
 #: master 2**32 + 5 would draw what stream 1 of the master 5 draws.
 SEED_BOUND = 1 << 32
+#: Trajectory stream indices lie in [0, STREAM_BOUND): the entropy of a stream
+#: is then at most four 32-bit words, which keeps it apart from every cone
+#: stream (``diagnostics.cone_seed``) and lets ``trajectory_rngs`` hash it.
+STREAM_BOUND = 1 << 64
 
 
 def trajectory_seed(master, index: int):
     """Seed of trajectory stream ``index`` of a run seeded with ``master``."""
     if not 0 <= int(master) < SEED_BOUND:
         raise ValueError(f"master seed must be in [0, 2**32), got {master}")
-    if index < 0:
-        raise ValueError("trajectory stream index must be non-negative")
+    if not 0 <= index < STREAM_BOUND:
+        raise ValueError(f"trajectory stream index must be in [0, 2**64), got {index}")
     return (int(master), int(index))
+
+
+# The constants of numpy's ``SeedSequence``, O'Neill's seed_seq hash, which
+# numpy keeps bit-stable across releases (NEP 19).
+_MASK32 = 0xFFFFFFFF
+_POOL_HASH = (0x43B0D7E5, 0x931E8875)   # initial constant and multiplier
+_STATE_HASH = (0x8B51F9DD, 0x58F38DED)
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hashmix(h: int, mult: int):
+    """``SeedSequence``'s hashmix over uint32 arrays, its constant carried from call to call.
+
+    The constant is a Python int kept to 32 bits: products of uint32 arrays
+    wrap silently, where products of numpy scalars would warn.
+    """
+    def hashmix(v):
+        nonlocal h
+        v = v ^ h
+        h = h * mult & _MASK32
+        v = v * h
+        return v ^ (v >> 16)
+    return hashmix
+
+
+def _mix(x, y):
+    """``SeedSequence``'s mix of a pool word x with a hashed word y, over uint32 arrays."""
+    r = _MIX_L * x - _MIX_R * y
+    return r ^ (r >> 16)
+
+
+class _PCG64Words(np.random.bit_generator.ISeedSequence):
+    """The four uint64 words a ``SeedSequence`` would give PCG64, computed beforehand."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("holds only the four uint64 words of a PCG64 seed")
+        return self.words
+
+
+def trajectory_rngs(master, streams) -> list[np.random.Generator]:
+    """Generators of the trajectory streams ``streams`` of a run seeded with ``master``.
+
+    Generator i draws what ``np.random.default_rng(trajectory_seed(master,
+    streams[i]))`` draws.  ``SeedSequence`` splits that seed into 32-bit
+    words, two or three, and pads its four-word pool with the hash of 0, so
+    every stream hashes as the entropy [master, index & (2**32 - 1),
+    index >> 32, 0].  Here the pool mixing and the PCG64 state of all streams are hashed at
+    once, word by word over uint32 arrays of one entry per stream, and each
+    generator is seeded with its precomputed words, so no stream pays for a
+    ``SeedSequence`` of its own.  The generators carry no ``SeedSequence``,
+    so they cannot ``spawn``.
+    """
+    index = np.array([trajectory_seed(master, i)[1] for i in streams], dtype=np.uint64)
+    entropy = [np.full(len(index), int(master), np.uint32), (index & _MASK32).astype(np.uint32),
+               (index >> 32).astype(np.uint32), np.zeros(len(index), np.uint32)]
+    hashmix = _hashmix(*_POOL_HASH)
+    pool = [hashmix(w) for w in entropy]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    hashmix = _hashmix(*_STATE_HASH)
+    state = np.stack([hashmix(pool[i % 4]) for i in range(8)], -1)
+    words = state.astype("<u4").view("<u8").astype(np.uint64)  # (streams, 4)
+    return [np.random.Generator(np.random.PCG64(_PCG64Words(w))) for w in words]
 
 
 def snapshot_steps(n_steps: int, snapshot_stride: int) -> list[int]:
@@ -732,11 +811,14 @@ def ensemble(state0: SpectralState, params: EquationParams, noise: NoiseSpec,
     (``STEP_BLOCK``) passes its snapshots through ``reduce`` before the next
     block runs, so such an ensemble never holds its states, and the values
     equal ``reduce`` of the whole states bit for bit when ``reduce`` treats
-    the snapshots independently.
+    the snapshots independently.  The generators come from
+    ``trajectory_rngs``, which hashes every stream's seed in one pass; they
+    draw what ``np.random.default_rng(trajectory_seed(seed, i))`` draws but
+    cannot ``spawn``.
     """
     streams = [int(i) for i in streams]
     n_steps = _step_count(horizon, params.dt, snapshot_stride)
-    rngs = [np.random.default_rng(trajectory_seed(seed, i)) for i in streams]
+    rngs = trajectory_rngs(seed, streams)
     coeffs = np.tile(state0.coeffs, (len(rngs), 1))
     return _integrate(state0.basis, coeffs, state0.time, params, noise, n_steps,
                       snapshot_stride, _increment_blocks(rngs, n_steps, noise.dim, params.dt),

@@ -335,6 +335,28 @@ class TestCli:
         assert "gamma_hat" in report and "identifiable" in report
         assert (out / "mix_decay.csv").exists()
 
+    def test_repeated_mix_runs_write_identical_artifacts(self, tmp_path):
+        # the second run parses its arguments with the parser the first built
+        doc = small_config(horizon=0.2)
+        doc["equation"]["nonlinearity_enabled"] = False
+        doc["analysis"] = {
+            "observable": {"kind": "mode_coefficient", "slot": "magnetic",
+                           "k": [0, 1], "parity": 0},
+            "u0_a": [],
+            "u0_b": [{"slot": "magnetic", "k": [0, 1], "parity": 0, "amplitude": 3.0}],
+            "replicas": 12,
+        }
+        cfg = write_config(tmp_path, doc)
+        outs = [tmp_path / "a", tmp_path / "b"]
+        for out in outs:
+            assert main(["mix", "--config", cfg, "--out", str(out)]) == 0
+        assert cli.build_parser() is cli.build_parser()
+        names = sorted(p.name for p in outs[0].iterdir() if p.name != "manifest.json")
+        assert names == sorted(p.name for p in outs[1].iterdir() if p.name != "manifest.json")
+        assert "mix_report.json" in names and "mix_decay.csv" in names
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
     def test_mix_requires_distinct_states(self, tmp_path, capsys):
         doc = small_config(horizon=0.05)
         doc["analysis"] = {

@@ -12,6 +12,7 @@ import pytest
 
 from torusmhd import diagnostics, galerkin
 from torusmhd.diagnostics import (
+    PATH_STREAM,
     PILOT_STREAM,
     Observable,
     clt_sample,
@@ -30,6 +31,7 @@ from torusmhd.galerkin import (
     NoiseSpec,
     SpectralState,
     simulate,
+    trajectory_rngs,
     unit_mode_state,
     zero_state,
 )
@@ -360,6 +362,32 @@ class TestStreams:
                 cone_seed(master, 0)
         assert trajectory_seed(2**32 - 1, 0) == (2**32 - 1, 0)
         assert cone_seed(2**32 - 1, 0).entropy == 2**32 - 1
+
+    def test_stream_indices_stop_below_2_to_the_64(self):
+        # a longer index hashes more than four words and can then reach a cone
+        # stream: (1234, 2**96 + 3 * 2**128) is the entropy of cone_seed(1234, 3)
+        assert self.state((1234, 2**96 + 3 * 2**128)) == self.state(cone_seed(1234, 3))
+        for index in (2**64, 2**96 + 3 * 2**128, -1):
+            with pytest.raises(ValueError, match="stream index"):
+                trajectory_seed(1234, index)
+            with pytest.raises(ValueError, match="stream index"):
+                trajectory_rngs(1234, [0, index])
+        assert trajectory_seed(1234, 2**64 - 1) == (1234, 2**64 - 1)
+
+    @pytest.mark.parametrize("master", [0, 1, 2**31, 2**32 - 1])
+    def test_vectorized_seeding_draws_the_default_rng_streams(self, master):
+        # one, two and three entropy words before the pool's padding, both
+        # halves of the index at their extremes, and the reserved streams
+        streams = [0, 1, 199, 2**31, 2**32 - 1, 2**32, 2**40 + 7, 2**64 - 1,
+                   PILOT_STREAM, PATH_STREAM]
+        rngs = trajectory_rngs(master, streams)
+        assert len(rngs) == len(streams)
+        for index, rng in zip(streams, rngs):
+            want = np.random.default_rng(trajectory_seed(master, index))
+            assert np.array_equal(rng.standard_normal(4), want.standard_normal(4)), index
+            assert np.array_equal(rng.random(4), want.random(4)), index
+            assert np.array_equal(rng.integers(0, 2**63, 4), want.integers(0, 2**63, 4)), index
+        assert trajectory_rngs(master, []) == []
 
 
 class TestMomentProbe:

@@ -88,6 +88,17 @@ class TestBasis:
         quad = np.sum(w**2, axis=(-3, -2, -1)) * (2 * math.pi / basis.grid) ** 2
         assert quad == pytest.approx((c * c).sum(-1), rel=1e-12)
 
+    @pytest.mark.parametrize("n_cut", [2, 5])
+    def test_passes_take_a_batch_of_no_states(self, n_cut):
+        # a batch of no states, of one slot each or of both slots, goes
+        # through both passes as a batch of no fields
+        basis = ModeBasis(n_cut)
+        m, w = basis.grid, 2 * basis.n_k
+        for lead in ((0,), (0, 2), (3, 0)):
+            fields = basis.synthesize(np.zeros(lead + (w,)))
+            assert fields.shape == lead + (2, m, m)
+            assert basis.gather(fields).shape == lead + (w,)
+
     @pytest.mark.parametrize("n_cut, grid", [
         *(pytest.param(n, None, id=str(n)) for n in (1, 3, 5, 8, 10, 16, 24)),
         pytest.param(4, 20, id="4-grid20"),
